@@ -9,6 +9,7 @@ front end.
 from bchromatic.analysis import check_hypotheses
 from bchromatic.constructive import (
     Coloring,
+    construct_auto_bcoloring,
     construct_connectivity_bcoloring,
     construct_diameter_bcoloring,
     construct_lower_bound_bcoloring,
@@ -21,6 +22,7 @@ __all__ = [
     "Coloring",
     "Graph",
     "check_hypotheses",
+    "construct_auto_bcoloring",
     "construct_connectivity_bcoloring",
     "construct_diameter_bcoloring",
     "construct_lower_bound_bcoloring",

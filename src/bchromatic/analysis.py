@@ -6,11 +6,11 @@ and the combined hypothesis report that gates the coloring strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from collections import deque
 
-from bchromatic.graph_core import CeilingExceeded, Graph, GraphMetadata
+from bchromatic.graph_core import CeilingExceeded, Graph
 
 # five_cycle_stats enumerates every 5-cycle; refuse beyond this many vertices
 FIVE_CYCLE_VERTEX_CEILING = 200
@@ -44,10 +44,6 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
-def has_triangle(g: Graph) -> bool:
-    return find_triangle(g) is not None
-
-
 def find_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
     """A 4-cycle in traversal order (u, x, v, y), or None.
 
@@ -60,10 +56,6 @@ def find_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
             if len(shared) >= 2:
                 return (u, shared[0], v, shared[1])
     return None
-
-
-def contains_c4(g: Graph) -> bool:
-    return find_four_cycle(g) is not None
 
 
 def girth(g: Graph) -> int | float:
@@ -389,40 +381,15 @@ class HypothesisReport:
     phi_upper_bound: int
 
     def to_json_dict(self) -> dict:
-        def num(x):
-            return None if x is math.inf else x
+        """The fields in declaration order; infinity becomes None and tuples
+        become lists, recursively."""
 
-        def seq(x):
-            return None if x is None else list(x)
+        def plain(x):
+            if isinstance(x, tuple):
+                return [plain(y) for y in x]
+            return None if x == math.inf else x
 
-        return {
-            "vertices": self.vertices,
-            "edges": self.edges,
-            "regular_degree": self.regular_degree,
-            "c4_free": self.c4_free,
-            "c4_witness": seq(self.c4_witness),
-            "has_triangle": self.has_triangle,
-            "triangle_witness": seq(self.triangle_witness),
-            "girth": num(self.girth),
-            "diameter": num(self.diameter),
-            "diameter_witness": seq(self.diameter_witness),
-            "kappa": self.kappa,
-            "separator": list(self.separator),
-            "components": [list(c) for c in self.components],
-            "lower_bound_applies": self.lower_bound_applies,
-            "lower_bound_colors": self.lower_bound_colors,
-            "five_cycle_count_vertex_exists": self.five_cycle_count_vertex_exists,
-            "five_cycle_count_witness": self.five_cycle_count_witness,
-            "five_cycle_packing_vertex_exists": self.five_cycle_packing_vertex_exists,
-            "five_cycle_packing_witness": self.five_cycle_packing_witness,
-            "diameter_route_applies": self.diameter_route_applies,
-            "small_cut_route_applies": self.small_cut_route_applies,
-            "loose_cut_bound_applies": self.loose_cut_bound_applies,
-            "loose_cut_bound_colors": self.loose_cut_bound_colors,
-            "three_component_cut_exists": self.three_component_cut_exists,
-            "phi_lower_bound": self.phi_lower_bound,
-            "phi_upper_bound": self.phi_upper_bound,
-        }
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _three_component_separator_exists(g: Graph, kappa: int) -> bool | None:
@@ -533,11 +500,3 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
         phi_upper_bound=phi_upper,
     )
 
-
-def metadata_for(g: Graph) -> GraphMetadata:
-    return GraphMetadata(
-        regular_degree=is_regular(g),
-        girth=girth(g),
-        has_c4=contains_c4(g),
-        has_triangle=has_triangle(g),
-    )

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 
 from bchromatic import analysis
 from bchromatic.constructive import (
@@ -22,6 +21,7 @@ from bchromatic.constructive import (
     ConstructionInvariantError,
     ConstructionOutcome,
     HypothesisRejection,
+    construct_auto_bcoloring,
     construct_connectivity_bcoloring,
     construct_diameter_bcoloring,
     construct_lower_bound_bcoloring,
@@ -51,17 +51,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    input_format: str = "edge-list"
-    output_format: str = "text"
-    strategy: str = "auto"
-    seed: int = 0
-    oracle_ceiling: int = DEFAULT_VERTEX_CEILING
 
 
 def build_parser() -> _Parser:
@@ -100,18 +89,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        input_format=getattr(args, "format", "edge-list"),
-        output_format=getattr(args, "output", "text"),
-        strategy=getattr(args, "strategy", "auto"),
-        seed=getattr(args, "seed", 0),
-        oracle_ceiling=getattr(args, "oracle_ceiling", DEFAULT_VERTEX_CEILING),
-    )
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -119,16 +96,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(cfg: RunConfig) -> Graph:
-    assert cfg.input_path is not None
-    text = _read_text(cfg.input_path)
-    if cfg.input_format == "dimacs":
+def _load_graph(args: argparse.Namespace) -> Graph:
+    text = _read_text(args.input)
+    if args.format == "dimacs":
         return parse_dimacs(text)
     return parse_edge_list(text)
 
 
-def _run_generate(cfg: RunConfig) -> int:
-    spec = cfg.input_path or ""
+def _run_generate(args: argparse.Namespace) -> int:
+    spec = args.input
     kind, _, rest = spec.partition(":")
     if kind == "petersen" and not rest:
         g = generate_petersen()
@@ -142,7 +118,7 @@ def _run_generate(cfg: RunConfig) -> int:
             raise ValueError(f"random spec needs d,n; got {rest!r}")
         d = _positive_int(parts[0], "degree")
         n = _positive_int(parts[1], "vertex count")
-        g = generate_random_c4_free_regular(d, n, cfg.seed)
+        g = generate_random_c4_free_regular(d, n, args.seed)
     else:
         raise ValueError(f"unknown generator spec {spec!r}")
     sys.stdout.write(serialize_edge_list(g))
@@ -159,11 +135,11 @@ def _positive_int(text: str, label: str) -> int:
     return value
 
 
-def _run_analyze(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def _run_analyze(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     report = analysis.check_hypotheses(g)
     payload = report.to_json_dict()
-    if cfg.output_format == "json":
+    if args.output == "json":
         print(json.dumps(payload, indent=2))
     else:
         for key, value in payload.items():
@@ -171,24 +147,14 @@ def _run_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _color_with_strategy(g: Graph, cfg: RunConfig) -> ConstructionOutcome:
-    if cfg.strategy == "lower-bound":
+def _color_with_strategy(g: Graph, args: argparse.Namespace) -> ConstructionOutcome:
+    if args.strategy == "lower-bound":
         return construct_lower_bound_bcoloring(g)
-    if cfg.strategy == "diameter":
+    if args.strategy == "diameter":
         return construct_diameter_bcoloring(g)
-    if cfg.strategy == "connectivity":
-        return construct_connectivity_bcoloring(g, oracle_ceiling=cfg.oracle_ceiling)
-    # auto: first applicable route; a route whose gate passes but whose
-    # fallback search refuses the graph's size also falls through
-    try:
-        return construct_connectivity_bcoloring(g, oracle_ceiling=cfg.oracle_ceiling)
-    except (HypothesisRejection, CeilingExceeded):
-        pass
-    try:
-        return construct_diameter_bcoloring(g)
-    except HypothesisRejection:
-        pass
-    return construct_lower_bound_bcoloring(g)
+    if args.strategy == "connectivity":
+        return construct_connectivity_bcoloring(g, oracle_ceiling=args.oracle_ceiling)
+    return construct_auto_bcoloring(g, oracle_ceiling=args.oracle_ceiling)
 
 
 def certificate_dict(outcome: ConstructionOutcome) -> dict:
@@ -204,19 +170,17 @@ def certificate_dict(outcome: ConstructionOutcome) -> dict:
     }
 
 
-def _run_color(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    outcome = _color_with_strategy(g, cfg)
-    report = verify_bcoloring(g, outcome.coloring)
-    if not report.is_b_coloring:
-        raise ConstructionInvariantError("emitted coloring failed re-verification")
+def _run_color(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    # outcome.report is the construction's own verification of outcome.coloring
+    outcome = _color_with_strategy(g, args)
     print(json.dumps(certificate_dict(outcome), indent=2))
     return 0
 
 
-def _run_exact(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
-    result = exact_b_chromatic(g, ceiling=cfg.oracle_ceiling)
+def _run_exact(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
+    result = exact_b_chromatic(g, ceiling=args.oracle_ceiling)
     report = verify_bcoloring(g, result.witness) if g.vertex_count else None
     dominating = (
         {str(c): v for c, v in sorted(report.realized.items())} if report else {}
@@ -234,8 +198,8 @@ def _run_exact(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg)
+def _run_verify(args: argparse.Namespace) -> int:
+    g = _load_graph(args)
     try:
         payload = json.loads(sys.stdin.read())
     except json.JSONDecodeError as exc:
@@ -266,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config_from(args)
     handlers = {
         "generate": _run_generate,
         "analyze": _run_analyze,
@@ -275,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _run_verify,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except ParseError as exc:
         print(f"bchromatic: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,10 @@ attached to the plan lets two far-apart seedings realize complementary color
 sets, which is how the diameter and small-cut strategies reach all d+1
 colors. The lower-bound strategy instead extends greedily and squeezes out
 unrealized colors by color exchange.
+
+Each strategy gates the graph (regular, no 4-cycle) once;
+construct_auto_bcoloring gates once and passes the gated graph, which carries
+its degree, to the three routes in turn.
 """
 
 from __future__ import annotations
@@ -179,11 +183,37 @@ def color_map_realizing(target: tuple[int, ...] | list[int], d: int) -> tuple[in
     return tuple(sigma)
 
 
-def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
-    """Check every plan invariant against g; returns the degree d."""
-    d = g.degree(plan.center)
+def _check_seed_site(g: Graph, center: int) -> int:
+    """A cheap O(d^2) sanity check of the seeding site, not the seeding's full
+    precondition: every neighbor of the center has the center's degree
+    d >= 3, and no two neighbors share a vertex other than the center, so no
+    4-cycle passes through it. The ring counting of
+    seed_dominating_neighborhood also needs the graph regular and C4-free
+    away from the center, which only the gate checks. Returns d."""
+    d = g.degree(center)
     if d < 3:
         raise ValueError("seeding requires degree at least 3")
+    seen: set[int] = set()
+    for u in g.adjacency[center]:
+        if g.degree(u) != d:
+            raise ValueError(f"neighbor {u} of center {center} has degree {g.degree(u)}, not {d}")
+        for x in g.adjacency[u]:
+            if x in seen:
+                raise ValueError(f"a 4-cycle passes through center {center}")
+            if x != center:
+                seen.add(x)
+    return d
+
+
+def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
+    """Check every plan invariant against g; returns the degree d.
+
+    The caller must pass a gated graph (regular, no 4-cycle). Of the graph
+    this checks only the seeding site, as a cheap sanity check (see
+    _check_seed_site): the center's neighbors have degree d and no 4-cycle
+    passes through the center.
+    """
+    d = _check_seed_site(g, plan.center)
     if tuple(sorted(plan.ordered_neighbors)) != g.adjacency[plan.center]:
         raise ValueError("ordered_neighbors is not a permutation of the center's neighborhood")
     if sorted(plan.color_map) != list(range(1, d + 2)):
@@ -219,20 +249,19 @@ def plan_seed(
 ) -> SeedPlan:
     """Order the center's neighborhood so a t-step seeding is legal.
 
-    The graph must be regular of degree >= 3 and contain no 4-cycle. In
-    triangle mode (even d only) the center must lie in a triangle; the two
-    adjacent neighbors are placed first and middle. For a full odd-d seeding
-    a neighbor with no neighbors inside N(center) is placed last among the
-    step positions; one exists because the induced neighborhood has maximum
-    degree one.
+    The caller must pass a gated graph (regular, no 4-cycle). The returned
+    plan goes through validate_seed_plan, whose site check (the center's
+    neighbors have the center's degree d >= 3 and no 4-cycle passes through
+    the center) is a cheap sanity check, not the full precondition; on an
+    ungated graph the planning itself may fail first.
+
+    In triangle mode (even d only) the center must lie in a triangle; the
+    two adjacent neighbors are placed first and middle. For a full odd-d
+    seeding a neighbor with no neighbors inside N(center) is placed last
+    among the step positions; one exists because the induced neighborhood
+    has maximum degree one.
     """
-    d = analysis.is_regular(g)
-    if d is None:
-        raise ValueError("graph is not regular")
-    if d < 3:
-        raise ValueError("seeding requires degree at least 3")
-    if analysis.contains_c4(g):
-        raise ValueError("graph contains a 4-cycle")
+    d = g.degree(center)
     neighbors = list(g.adjacency[center])
     nv = g.neighbor_sets[center]
     order: list[int]
@@ -314,8 +343,6 @@ def seed_dominating_neighborhood(
     ConstructionInvariantError carrying the Hall violator.
     """
     d = validate_seed_plan(g, plan)
-    if analysis.is_regular(g) != d:
-        raise ValueError("graph is not regular of the plan's degree")
     n = g.vertex_count
     center = plan.center
     nv = g.neighbor_sets[center]
@@ -500,7 +527,17 @@ class ConstructionOutcome:
     report: VerificationReport
 
 
+@dataclass(frozen=True)
+class _GatedGraph(Graph):
+    """A graph that passed _gate_regular_c4_free, with its degree d, so that a
+    route handed one by construct_auto_bcoloring does not scan it again."""
+
+    d: int
+
+
 def _gate_regular_c4_free(g: Graph) -> int:
+    if isinstance(g, _GatedGraph):
+        return g.d
     d = analysis.is_regular(g)
     if d is None:
         raise HypothesisRejection("graph is not regular")
@@ -753,6 +790,31 @@ def construct_connectivity_bcoloring(
             )
         plans.append(plan)
     return _two_center_finish(g, d, "connectivity", (plans[0], plans[1]), trace)
+
+
+def construct_auto_bcoloring(
+    g: Graph,
+    trace: ConstructionTrace | None = None,
+    oracle_ceiling: int | None = None,
+) -> ConstructionOutcome:
+    """The first route that applies: connectivity, then diameter, then the
+    lower bound, which applies to every graph that passes the gate.
+
+    Gates regularity and C4-freeness once and hands the routes the gated
+    graph, whose degree their own gates read back. A route whose hypothesis
+    fails falls through, and so does the connectivity route when its
+    degree-3 fallback search refuses the graph's size.
+    """
+    gated = _GatedGraph(g.vertex_count, g.adjacency, _gate_regular_c4_free(g))
+    try:
+        return construct_connectivity_bcoloring(gated, trace, oracle_ceiling)
+    except (HypothesisRejection, CeilingExceeded):
+        pass
+    try:
+        return construct_diameter_bcoloring(gated, trace)
+    except HypothesisRejection:
+        pass
+    return construct_lower_bound_bcoloring(gated, trace)
 
 
 def _oracle_fallback(g: Graph, d: int, ceiling: int | None = None) -> ConstructionOutcome:

@@ -64,9 +64,6 @@ class Graph:
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(ns) for ns in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -89,19 +86,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max((len(ns) for ns in self.adjacency), default=0)
-
-
-@dataclass(frozen=True)
-class GraphMetadata:
-    """Optional cached structural facts about a graph.
-
-    Any populated field must agree with what the analysis passes recompute.
-    """
-
-    regular_degree: int | None = None
-    girth: float | None = None
-    has_c4: bool | None = None
-    has_triangle: bool | None = None
 
 
 def validate_graph(g: Graph) -> None:

@@ -34,19 +34,10 @@ class BipartiteInstance:
             if l not in ls or r not in rs:
                 raise ValueError(f"edge ({l!r}, {r!r}) references undeclared nodes")
 
-    def left_degree(self, node: Hashable) -> int:
-        return sum(1 for l, _ in self.edges if l == node)
-
-    def right_degree(self, node: Hashable) -> int:
-        return sum(1 for _, r in self.edges if r == node)
-
 
 @dataclass(frozen=True)
 class Matching:
     pairs: frozenset[tuple[Hashable, Hashable]]
-
-    def is_perfect_for(self, h: BipartiteInstance) -> bool:
-        return len(self.pairs) == len(h.left)
 
 
 @dataclass(frozen=True)

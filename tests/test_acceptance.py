@@ -64,7 +64,7 @@ def test_criterion_03_lower_bound_sweep():
             assert n <= 60
             g = gc.generate_random_c4_free_regular(d, n, seed)
             out = con.construct_lower_bound_bcoloring(g)
-            promised = (d + 4) // 2 if analysis.has_triangle(g) else (d + 3) // 2
+            promised = (d + 4) // 2 if analysis.find_triangle(g) is not None else (d + 3) // 2
             rep = con.verify_bcoloring(g, out.coloring)
             assert rep.is_b_coloring, (d, n, seed)
             assert len(rep.used_colors) >= promised, (d, n, seed)

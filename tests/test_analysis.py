@@ -25,7 +25,7 @@ class TestRegularityAndSmallPatterns:
     def test_find_triangle(self):
         g = gc.Graph.from_edges(5, [(0, 3), (3, 4), (0, 4), (1, 2)])
         assert analysis.find_triangle(g) == (0, 3, 4)
-        assert analysis.has_triangle(g)
+        assert analysis.find_triangle(g) is not None
         assert analysis.find_triangle(gc.generate_petersen()) is None
 
     def test_find_four_cycle(self):
@@ -36,10 +36,10 @@ class TestRegularityAndSmallPatterns:
         assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d) and g.has_edge(d, a)
         assert len({a, b, c, d}) == 4
         assert analysis.find_four_cycle(gc.generate_petersen()) is None
-        assert not analysis.contains_c4(gc.generate_heawood())
+        assert analysis.find_four_cycle(gc.generate_heawood()) is None
         # a 4-cycle with a chord still counts
         g2 = gc.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-        assert analysis.contains_c4(g2)
+        assert analysis.find_four_cycle(g2) is not None
 
 
 class TestGirth:
@@ -196,8 +196,3 @@ class TestHypothesisReport:
         payload = rep.to_json_dict()
         assert payload["diameter"] is None  # infinity becomes null
         json.dumps(payload)
-
-    def test_metadata_for(self, petersen):
-        meta = analysis.metadata_for(petersen)
-        assert meta.regular_degree == 3 and meta.girth == 5
-        assert meta.has_c4 is False and meta.has_triangle is False

@@ -1,9 +1,10 @@
 import io
 import json
+from dataclasses import fields
 
 import pytest
 
-from bchromatic import cli, graph_core as gc
+from bchromatic import analysis, cli, graph_core as gc
 
 
 def run_cli(monkeypatch, capsys, argv, stdin_text=""):
@@ -84,6 +85,14 @@ class TestAnalyze:
         rep = json.loads(out)
         assert rep["kappa"] == 3 and rep["phi_upper_bound"] == 4
 
+    def test_json_keys_follow_report_fields(self, monkeypatch, capsys, petersen_file):
+        _, out, _ = run_cli(
+            monkeypatch, capsys,
+            ["analyze", "--input", petersen_file, "--output", "json"],
+        )
+        keys = list(json.loads(out))
+        assert keys == [f.name for f in fields(analysis.HypothesisReport)]
+
     def test_stdin_input(self, monkeypatch, capsys):
         text = gc.serialize_edge_list(gc.generate_cycle(5))
         code, out, _ = run_cli(monkeypatch, capsys, ["analyze", "--input", "-"], text)
@@ -148,6 +157,22 @@ class TestColor:
         path.write_text(gc.serialize_edge_list(gc.generate_complete_bipartite(3)))
         code, _, _ = run_cli(monkeypatch, capsys, ["color", "--input", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("strategy", cli.STRATEGIES)
+    @pytest.mark.parametrize("graph_file", ["petersen_file", "chain_file"])
+    def test_gates_each_graph_once(self, monkeypatch, capsys, request, strategy, graph_file):
+        calls = {"find_four_cycle": 0, "is_regular": 0}
+        for name in calls:
+            original = getattr(analysis, name)
+
+            def counted(g, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(g)
+
+            monkeypatch.setattr(analysis, name, counted)
+        path = request.getfixturevalue(graph_file)
+        run_cli(monkeypatch, capsys, ["color", "--input", path, "--strategy", strategy])
+        assert calls == {"find_four_cycle": 1, "is_regular": 1}
 
     def test_unknown_strategy_exits_one(self, monkeypatch, capsys, petersen_file):
         code, _, _ = run_cli(

@@ -235,7 +235,7 @@ class TestLowerBoundStrategy:
 
     def test_triangle_mode_on_even_degree(self):
         g = gc.generate_random_c4_free_regular(4, 20, 0)
-        assert analysis.has_triangle(g)
+        assert analysis.find_triangle(g) is not None
         trace = con.ConstructionTrace()
         out = con.construct_lower_bound_bcoloring(g, trace=trace)
         assert out.triangle_mode and out.guaranteed_colors == 4

@@ -130,7 +130,7 @@ class TestCubicGadgets:
         g = gc.generate_cubic_bridge_pair()
         assert g.vertex_count == 24
         assert all(g.degree(v) == 3 for v in range(24))
-        assert not analysis.contains_c4(g)
+        assert analysis.find_four_cycle(g) is None
         diam, _ = analysis.diameter(g)
         assert diam >= 6
 
@@ -141,7 +141,7 @@ class TestCubicGadgets:
         g = gc.generate_cubic_chain(beads)
         assert g.vertex_count == 10 * beads
         assert all(g.degree(v) == 3 for v in range(g.vertex_count))
-        assert not analysis.contains_c4(g)
+        assert analysis.find_four_cycle(g) is None
 
     def test_chain_needs_two_beads(self):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestRandomRegularC4Free:
 
         g = gc.generate_random_c4_free_regular(d, n, 1)
         assert analysis.is_regular(g) == d
-        assert not analysis.contains_c4(g)
+        assert analysis.find_four_cycle(g) is None
 
     def test_small_degrees_direct(self):
         g = gc.generate_random_c4_free_regular(2, 5, 0)
