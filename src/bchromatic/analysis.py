@@ -47,14 +47,20 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
 def find_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
     """A 4-cycle in traversal order (u, x, v, y), or None.
 
-    Two vertices with two common neighbors are exactly the witness: u and v
-    nonadjacent-or-adjacent ends, x and y their shared neighbors.
+    Two vertices with two common neighbors are exactly the witness: u < v
+    the lexicographically first such pair, x < y their two smallest shared
+    neighbors. Walks the 2-paths u - x - v with v > u for each u in turn and
+    stops at the first u that reaches some v twice: O(sum of deg(x)^2) work,
+    O(n d^2) on a d-regular graph.
     """
+    adj = g.adjacency
     for u in range(g.vertex_count):
-        for v in range(u + 1, g.vertex_count):
+        ends = [v for x in adj[u] for v in adj[x] if v > u]
+        if len(ends) != len(set(ends)):
+            ends.sort()
+            v = next(a for a, b in zip(ends, ends[1:]) if a == b)
             shared = sorted(g.neighbor_sets[u] & g.neighbor_sets[v])
-            if len(shared) >= 2:
-                return (u, shared[0], v, shared[1])
+            return (u, shared[0], v, shared[1])
     return None
 
 
@@ -160,27 +166,35 @@ class CutCertificate:
     components: tuple[tuple[int, ...], ...]
 
 
-def _min_vertex_cut(g: Graph, s: int, t: int, cap_limit: int) -> tuple[int, tuple[int, ...] | None]:
-    """Minimum s-t vertex cut by unit-capacity flow on the split graph.
+def _split_graph(g: Graph) -> list[dict[int, int]]:
+    """Residual capacities indexed by node 2v = v_in, 2v+1 = v_out: arcs
+    v_in -> v_out of capacity 1, u_out -> v_in per edge of capacity n + 1,
+    and every reverse arc at 0."""
+    n = g.vertex_count
+    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for v in range(n):
+        cap[2 * v][2 * v + 1], cap[2 * v + 1][2 * v] = 1, 0
+    for u, v in g.edges():
+        cap[2 * u + 1][2 * v] = cap[2 * v + 1][2 * u] = n + 1
+        cap[2 * v][2 * u + 1] = cap[2 * u][2 * v + 1] = 0
+    return cap
+
+
+def _min_vertex_cut(
+    split: list[dict[int, int]], s: int, t: int, cap_limit: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """Minimum s-t vertex cut by unit-capacity flow on a copy of the split
+    graph (from _split_graph) with the internal arcs of s and t closed.
 
     Returns (flow, cut) when the flow is exhausted below cap_limit, else
-    (cap_limit, None) once the limit is reached (search aborted).
+    (cap_limit, None) once the limit is reached (search aborted). The cut is
+    read off the nodes the source reaches in the final residual graph, a set
+    that is the same for every maximum flow, so arc order does not change it.
     """
-    n = g.vertex_count
-    big = n + 1
-    # node 2v = v_in, 2v+1 = v_out; source s_out, sink t_in
-    cap: dict[int, dict[int, int]] = {}
-
-    def add(u: int, v: int, c: int) -> None:
-        cap.setdefault(u, {})[v] = cap.setdefault(u, {}).get(v, 0) + c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    for v in range(n):
-        if v != s and v != t:
-            add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        add(2 * u + 1, 2 * v, big)
-        add(2 * v + 1, 2 * u, big)
+    n = len(split) // 2
+    cap = [dict(row) for row in split]
+    # s and t are the flow's ends (source s_out, sink t_in), never cut vertices
+    cap[2 * s][2 * s + 1] = cap[2 * t][2 * t + 1] = 0
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap_limit:
@@ -228,11 +242,12 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     best = n - 1
     cuts: list[tuple[int, ...]] = []
+    split = _split_graph(g)
     for s in range(n):
         for t in range(s + 1, n):
             if g.has_edge(s, t):
                 continue
-            flow, cut = _min_vertex_cut(g, s, t, best + 1)
+            flow, cut = _min_vertex_cut(split, s, t, best + 1)
             if cut is not None:
                 if flow < best:
                     best = flow

@@ -482,13 +482,20 @@ def reduce_unrealized(
     the scan order irrelevant. Each pass removes one color and never harms an
     existing dominating vertex, so at most |used| passes run.
     """
+    return _reduce_unrealized(g, c, trace)[0]
+
+
+def _reduce_unrealized(
+    g: Graph, c: Coloring, trace: ConstructionTrace | None
+) -> tuple[Coloring, VerificationReport]:
+    # reduce_unrealized, also returning the verification of its last pass
     colors = list(c.assignment)
     while True:
         report = verify_bcoloring(g, Coloring(c.palette_size, tuple(colors)))
         if not report.proper:
             raise ValueError(f"input coloring is improper on edge {report.conflict_edge}")
         if report.is_b_coloring:
-            return Coloring(c.palette_size, tuple(colors))
+            return Coloring(c.palette_size, tuple(colors)), report
         target = next(col for col in report.used_colors if report.realized[col] is None)
         holders = [v for v in range(g.vertex_count) if colors[v] == target]
         used = set(report.used_colors)
@@ -629,8 +636,7 @@ def construct_lower_bound_bcoloring(
     plan = plan_seed(g, center, t, triangle_mode)
     partial = seed_dominating_neighborhood(g, plan, trace=trace)
     total = greedy_extend(g, partial, sources=(center,))
-    reduced = reduce_unrealized(g, total, trace=trace)
-    report = verify_bcoloring(g, reduced)
+    reduced, report = _reduce_unrealized(g, total, trace=trace)
     promised = (d + 4) // 2 if tri else (d + 3) // 2
     kept = realized_targets(plan, d)
     if (

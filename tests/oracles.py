@@ -33,6 +33,17 @@ def brute_girth(g: Graph) -> float:
     return best
 
 
+def brute_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
+    """The first pair u < v (lexicographically) with two common neighbours,
+    as (u, x, v, y) with x < y their two smallest common neighbours."""
+    for u in range(g.vertex_count):
+        for v in range(u + 1, g.vertex_count):
+            shared = sorted(set(g.adjacency[u]) & set(g.adjacency[v]))
+            if len(shared) >= 2:
+                return (u, shared[0], v, shared[1])
+    return None
+
+
 def brute_diameter(g: Graph) -> float:
     n = g.vertex_count
     if n <= 1:

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,28 @@ def random_graph(data, max_n=10):
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
     return gc.Graph.from_edges(n, edges)
+
+
+def random_density_graph(data, max_n=16):
+    """A graph whose edge density ranges over [0, 1], skewed sparse (the
+    square of a uniform draw), so that graphs without a 4-cycle and graphs
+    with one come up about equally often."""
+    n = data.draw(st.integers(min_value=0, max_value=max_n))
+    p = data.draw(st.floats(min_value=0.0, max_value=1.0)) ** 2
+    rng = data.draw(st.randoms(use_true_random=False))
+    return gc.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def petersen_lift(copies: int, seed: int) -> gc.Graph:
+    """Random lift of Petersen: each edge (u, v) becomes the edges
+    (u, i)-(v, pi(i)) for a random permutation pi; C4-free and cubic."""
+    rng = random.Random(seed)
+    edges = []
+    for u, v in gc.generate_petersen().edges():
+        pi = list(range(copies))
+        rng.shuffle(pi)
+        edges += [(u * copies + i, v * copies + pi[i]) for i in range(copies)]
+    return gc.Graph.from_edges(10 * copies, edges)
 
 
 class TestRegularityAndSmallPatterns:
@@ -40,6 +63,28 @@ class TestRegularityAndSmallPatterns:
         # a 4-cycle with a chord still counts
         g2 = gc.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
         assert analysis.find_four_cycle(g2) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_find_four_cycle_matches_brute(self, data):
+        g = random_density_graph(data)
+        assert analysis.find_four_cycle(g) == oracles.brute_four_cycle(g)
+
+    def test_four_cycle_planted_far_from_vertex_zero(self):
+        g = petersen_lift(100, seed=0)
+        assert analysis.find_four_cycle(g) is None
+        # the first path u - x - y - w on vertices >= 500; the edge uw closes
+        # a 4-cycle, and every 4-cycle of the new graph passes through uw
+        u, x, y, w = next(
+            (u, x, y, w)
+            for u in range(500, g.vertex_count) for x in g.adjacency[u] if x >= 500
+            for y in g.adjacency[x] if y >= 500 and y != u
+            for w in g.adjacency[y] if w >= 500 and w != x
+        )
+        planted = gc.Graph.from_edges(g.vertex_count, list(g.edges()) + [(u, w)])
+        cyc = analysis.find_four_cycle(planted)
+        assert cyc == oracles.brute_four_cycle(planted)
+        assert {u, w} <= set(cyc) and min(cyc) >= 500
 
 
 class TestGirth:
@@ -118,6 +163,30 @@ class TestVertexConnectivity:
         comps = analysis.connected_components(g, removed=frozenset(cert.separator))
         assert len(comps) >= 2
         assert comps == cert.components
+
+    def test_pinned_certificates(self):
+        """Graphs with several minimum cuts: the certificate picked among
+        them, not only kappa, stays as recorded."""
+        cut = analysis.CutCertificate
+        heawoods = gc.disjoint_union(gc.generate_heawood(), gc.generate_heawood())
+        assert analysis.vertex_connectivity(gc.generate_cubic_chain(3)) == cut(
+            2, (0, 1), (tuple(range(2, 10)), tuple(range(10, 30)))
+        )
+        assert analysis.vertex_connectivity(gc.generate_cubic_chain(4)) == cut(
+            2, (0, 1), (tuple(range(2, 10)), tuple(range(10, 40)))
+        )
+        assert analysis.vertex_connectivity(gc.generate_cubic_bridge_pair()) == cut(
+            1, (22,), ((*range(10), 20, 21), (*range(10, 20), 23))
+        )
+        assert analysis.vertex_connectivity(heawoods) == cut(
+            0, (), (tuple(range(14)), tuple(range(14, 28)))
+        )
+        assert analysis.vertex_connectivity(gc.generate_petersen()) == cut(
+            3, (0, 2, 6), ((1,), (3, 4, 5, 7, 8, 9))
+        )
+        assert analysis.vertex_connectivity(gc.generate_heawood()) == cut(
+            3, (0, 2, 10), ((1,), (3, 4, 5, 6, 7, 8, 9, 11, 12, 13))
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
