@@ -228,9 +228,24 @@ def _min_vertex_cut(
 def vertex_connectivity(g: Graph) -> CutCertificate:
     """Exact kappa with a witnessing separator and the split components.
 
-    Flow-based sweep over all nonadjacent pairs; the returned separator is
-    the lexicographically smallest among the minimum cuts the fixed sweep
-    materializes.
+    kappa by Esfahanian and Hakimi (Networks 14, 1984): with v the smallest
+    vertex of minimum degree delta, a minimum separator S either misses v,
+    and then splits v from some non-neighbour w, or contains v, and then
+    (being minimal) splits two non-adjacent neighbours of v. So kappa is
+    delta or the smallest of the O(n + delta^2) flows from v to each
+    non-neighbour and between each two non-adjacent neighbours, each flow
+    capped at the best value so far.
+
+    The separator is the lexicographically smallest of the cuts read off
+    the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
+    is the residual reach of its maximum flow, the source side nearest s.
+    On a d-regular graph with kappa = d that is N(s) for every such pair:
+    the arcs s_out -> x_in, x in N(s), carry capacity n + 1, so every finite
+    cut's source side holds s_out and all x_in, and that set is already a
+    cut of capacity d. The separator is then the smallest sorted N(s) over
+    the s with a non-neighbour t > s, and no further flow runs. Otherwise
+    every non-adjacent pair runs one flow capped at kappa + 1, which keeps
+    exactly the pairs whose local connectivity is kappa.
     """
     n = g.vertex_count
     if n == 0:
@@ -240,21 +255,28 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
         return CutCertificate(0, (), comps)
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
-    best = n - 1
-    cuts: list[tuple[int, ...]] = []
     split = _split_graph(g)
-    for s in range(n):
-        for t in range(s + 1, n):
-            if g.has_edge(s, t):
-                continue
-            flow, cut = _min_vertex_cut(split, s, t, best + 1)
-            if cut is not None:
-                if flow < best:
-                    best = flow
-                    cuts = [cut]
-                elif flow == best:
-                    cuts.append(cut)
-    separator = min(c for c in cuts if len(c) == best)
+    degs = g.degrees()
+    best = min(degs)
+    v = degs.index(best)
+    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
+    pairs += [(x, y) for x, y in combinations(g.adjacency[v], 2) if not g.has_edge(x, y)]
+    for s, t in pairs:
+        best = min(best, _min_vertex_cut(split, s, t, best)[0])
+    if best == max(degs):
+        separator = min(
+            g.adjacency[s] for s in range(n)
+            if any(not g.has_edge(s, t) for t in range(s + 1, n))
+        )
+    else:
+        cuts = []
+        for s in range(n):
+            for t in range(s + 1, n):
+                if not g.has_edge(s, t):
+                    cut = _min_vertex_cut(split, s, t, best + 1)[1]
+                    if cut is not None:
+                        cuts.append(cut)
+        separator = min(cuts)
     return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
 
 

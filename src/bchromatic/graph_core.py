@@ -13,6 +13,11 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
+# the parsers refuse a declared vertex count above this before allocating
+# anything per vertex
+PARSE_VERTEX_CEILING = 1_000_000
+
+
 class ParseError(ValueError):
     """Malformed graph text. `line` is the 1-based offending line number."""
 
@@ -132,6 +137,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(1, f"header must be two integers, got {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise ParseError(1, "n and m must be nonnegative")
+    if n > PARSE_VERTEX_CEILING:
+        raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
 
     edges: list[tuple[int, int]] = []
     idx = 1
@@ -191,6 +198,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(idx, "problem line counts must be integers") from None
             if n < 0:
                 raise ParseError(idx, "vertex count must be nonnegative")
+            if n > PARSE_VERTEX_CEILING:
+                raise ParseError(idx, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
         elif parts[0] == "e":
             if n is None:
                 raise ParseError(idx, "edge line before the problem line")

@@ -93,6 +93,105 @@ def brute_vertex_connectivity(g: Graph) -> int:
     return n - 1
 
 
+def _components(g: Graph, removed: frozenset[int] = frozenset()) -> tuple[tuple[int, ...], ...]:
+    seen = set(removed)
+    comps: list[tuple[int, ...]] = []
+    for s in range(g.vertex_count):
+        if s in seen:
+            continue
+        q = deque([s])
+        seen.add(s)
+        comp = [s]
+        while q:
+            x = q.popleft()
+            for y in g.adjacency[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    q.append(y)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
+
+
+def _split_graph(g: Graph) -> list[dict[int, int]]:
+    n = g.vertex_count
+    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    for v in range(n):
+        cap[2 * v][2 * v + 1], cap[2 * v + 1][2 * v] = 1, 0
+    for u, v in g.edges():
+        cap[2 * u + 1][2 * v] = cap[2 * v + 1][2 * u] = n + 1
+        cap[2 * v][2 * u + 1] = cap[2 * u][2 * v + 1] = 0
+    return cap
+
+
+def _min_vertex_cut(
+    split: list[dict[int, int]], s: int, t: int, cap_limit: int
+) -> tuple[int, tuple[int, ...] | None]:
+    n = len(split) // 2
+    cap = [dict(row) for row in split]
+    cap[2 * s][2 * s + 1] = cap[2 * t][2 * t + 1] = 0
+    source, sink = 2 * s + 1, 2 * t
+    flow = 0
+    while flow < cap_limit:
+        parent: dict[int, int] = {source: source}
+        q = deque([source])
+        while q and sink not in parent:
+            x = q.popleft()
+            for y, c in cap[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    q.append(y)
+        if sink not in parent:
+            reach = set(parent)
+            cut = tuple(
+                v for v in range(n)
+                if v != s and v != t and 2 * v in reach and 2 * v + 1 not in reach
+            )
+            if len(cut) != flow:
+                raise AssertionError("min-cut extraction disagrees with flow value")
+            return flow, cut
+        y = sink
+        while y != source:
+            x = parent[y]
+            cap[x][y] -= 1
+            cap[y][x] += 1
+            y = x
+        flow += 1
+    return flow, None
+
+
+def sweep_vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(kappa, separator, components) by one unit flow on the vertex-split
+    graph for every non-adjacent pair s < t, each capped at the best value
+    so far plus one; the separator is the smallest of the cuts (the residual
+    reach of s) of the pairs whose flow is kappa. Complete graphs give
+    kappa = n - 1 with every vertex but 0 as separator."""
+    n = g.vertex_count
+    if n == 0:
+        return (0, (), ())
+    comps = _components(g)
+    if len(comps) > 1:
+        return (0, (), comps)
+    if g.edge_count == n * (n - 1) // 2:
+        return (n - 1, tuple(range(1, n)), ((0,),))
+    best = n - 1
+    cuts: list[tuple[int, ...]] = []
+    split = _split_graph(g)
+    for s in range(n):
+        for t in range(s + 1, n):
+            if g.has_edge(s, t):
+                continue
+            flow, cut = _min_vertex_cut(split, s, t, best + 1)
+            if cut is not None:
+                if flow < best:
+                    best = flow
+                    cuts = [cut]
+                elif flow == best:
+                    cuts.append(cut)
+    separator = min(c for c in cuts if len(c) == best)
+    return (best, separator, _components(g, frozenset(separator)))
+
+
 def brute_five_cycle_count(g: Graph) -> int:
     """Count 5-cycles as the number of closed 5-walks on distinct vertices,
     canonicalized by smallest start and direction."""

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchromatic import analysis, graph_core as gc
+from bchromatic import analysis, cli, graph_core as gc
 from tests import oracles
 
 
@@ -24,6 +25,46 @@ def random_density_graph(data, max_n=16):
     p = data.draw(st.floats(min_value=0.0, max_value=1.0)) ** 2
     rng = data.draw(st.randoms(use_true_random=False))
     return gc.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+def _regular_edges(rng: random.Random, n: int, d: int) -> list[tuple[int, int]]:
+    """A d-regular circulant on n vertices (n > d, nd even), mixed by up to
+    3n random edge switches ab, ce -> ac, be that keep it simple."""
+    offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = {tuple(sorted((i, (i + k) % n))) for i in range(n) for k in offsets}
+    for _ in range(rng.randrange(3 * n + 1)):
+        (a, b), (c, e) = rng.sample(sorted(edges), 2)
+        new = {tuple(sorted((a, c))), tuple(sorted((b, e)))}
+        if len({a, b, c, e}) == 4 and not new & edges:
+            edges = edges - {(a, b), (c, e)} | new
+    return sorted(edges)
+
+
+def random_regular_graph(data, max_n=22) -> gc.Graph:
+    """A randomly labelled d-regular graph, d = 2-6, on at most max_n
+    vertices: a switched circulant (mostly kappa = d), or, for d >= 3, a
+    ring of two or more switched circulants, each less one edge whose ends
+    join the neighbouring blocks (kappa <= 2 < d)."""
+    d = data.draw(st.integers(min_value=2, max_value=6))
+    rng = data.draw(st.randoms(use_true_random=False))
+    blocks = 1
+    if d >= 3 and data.draw(st.booleans()):
+        blocks = data.draw(st.integers(min_value=2, max_value=max_n // (d + 1)))
+    m = rng.randint(d + 1, max_n // blocks)
+    m -= m * d % 2  # m odd only with d odd, so m - 1 > d
+    if blocks == 1:
+        edges = _regular_edges(rng, m, d)
+    else:
+        edges, ends = [], []
+        for i in range(blocks):
+            block = [(u + i * m, v + i * m) for u, v in _regular_edges(rng, m, d)]
+            ends.append(block.pop(rng.randrange(len(block))))
+            edges += block
+        edges += [(ends[i][1], ends[(i + 1) % blocks][0]) for i in range(blocks)]
+    n = blocks * m
+    label = list(range(n))
+    rng.shuffle(label)
+    return gc.Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 def petersen_lift(copies: int, seed: int) -> gc.Graph:
@@ -193,6 +234,52 @@ class TestVertexConnectivity:
     def test_matches_brute(self, data):
         g = random_graph(data, max_n=8)
         assert analysis.vertex_connectivity(g).kappa == oracles.brute_vertex_connectivity(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_sweep_reference(self, data):
+        g = random_density_graph(data)
+        cert = analysis.vertex_connectivity(g)
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_regular_matches_sweep_reference(self, data):
+        g = random_regular_graph(data)
+        cert = analysis.vertex_connectivity(g)
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_start_vertex_in_every_minimum_separator(self):
+        """Vertex 0 has the minimum degree 4 and is the only cut vertex
+        between two copies of K5: kappa comes from a pair of its neighbours,
+        not from 0 and a non-neighbour (those pairs have connectivity 2)."""
+        edges = [(u + 1, v + 1) for u in range(5) for v in range(u + 1, 5)]
+        edges += [(u + 6, v + 6) for u in range(5) for v in range(u + 1, 5)]
+        g = gc.Graph.from_edges(11, edges + [(0, 1), (0, 2), (0, 6), (0, 7)])
+        cert = analysis.vertex_connectivity(g)
+        assert cert == analysis.CutCertificate(1, (0,), ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)))
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_flow_count_on_lift(self, monkeypatch, capsys, tmp_path):
+        """A cubic lift with kappa = d = 3 takes one flow per non-neighbour
+        of the start vertex and per pair of its neighbours, and no more."""
+        g = petersen_lift(30, seed=0)
+        n, d = g.vertex_count, 3
+        calls = 0
+        original = analysis._min_vertex_cut
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", counted)
+        assert analysis.vertex_connectivity(g).kappa == 3
+        assert calls <= n - d - 1 + math.comb(d, 2)
+        path = tmp_path / "lift.txt"
+        path.write_text(gc.serialize_edge_list(g))
+        assert cli.main(["analyze", "--input", str(path), "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kappa"] == 3
 
 
 class TestFiveCycles:

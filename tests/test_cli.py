@@ -115,6 +115,17 @@ class TestAnalyze:
         code, _, err = run_cli(monkeypatch, capsys, ["analyze", "--input", str(path)])
         assert code == 1 and "line 3" in err
 
+    @pytest.mark.parametrize("fmt, text", [
+        ("edge-list", "1000000000 0\n"), ("dimacs", "p edge 1000000000 0\n"),
+    ])
+    def test_vertex_count_above_ceiling_exits_one(self, monkeypatch, capsys, tmp_path, fmt, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        code, _, err = run_cli(
+            monkeypatch, capsys, ["analyze", "--input", str(path), "--format", fmt],
+        )
+        assert code == 1 and "ceiling" in err
+
     def test_missing_file_exits_one(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["analyze", "--input", "/no/such/file"])
         assert code == 1

@@ -60,6 +60,14 @@ class TestEdgeListFormat:
         with pytest.raises(gc.ParseError):
             gc.parse_edge_list("2 1\n0 1\nextra junk\n")
 
+    def test_vertex_ceiling(self, monkeypatch):
+        with pytest.raises(gc.ParseError, match="line 1.*ceiling"):
+            gc.parse_edge_list("1000000000 0\n")
+        monkeypatch.setattr(gc, "PARSE_VERTEX_CEILING", 4)
+        assert gc.parse_edge_list("4 0\n").vertex_count == 4
+        with pytest.raises(gc.ParseError, match="line 1.*ceiling"):
+            gc.parse_edge_list("5 0\n")
+
 
 class TestDimacsFormat:
     def test_parse_with_comments(self):
@@ -76,6 +84,14 @@ class TestDimacsFormat:
             gc.parse_dimacs("p edge 2 1\nq 1 2\n")
         with pytest.raises(gc.ParseError):
             gc.parse_dimacs("p edge 2 1\ne 0 1\n")  # vertices are 1-based
+
+    def test_vertex_ceiling(self, monkeypatch):
+        with pytest.raises(gc.ParseError, match="line 2.*ceiling"):
+            gc.parse_dimacs("c huge\np edge 1000000000 0\n")
+        monkeypatch.setattr(gc, "PARSE_VERTEX_CEILING", 4)
+        assert gc.parse_dimacs("p edge 4 0\n").vertex_count == 4
+        with pytest.raises(gc.ParseError, match="line 1.*ceiling"):
+            gc.parse_dimacs("p edge 5 0\n")
 
 
 class TestGenerators:
