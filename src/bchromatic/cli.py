@@ -67,8 +67,6 @@ def build_parser() -> _Parser:
     g.add_argument("--input", required=True, metavar="SPEC",
                    help="petersen | kdd:<d> | cycle:<n> | random:<d>,<n>")
     g.add_argument("--seed", type=int, default=0, help="seed for random:<d>,<n>")
-    g.add_argument("--format", choices=("edge-list",), default="edge-list",
-                   help="output format (edge lists only)")
 
     a = sub.add_parser("analyze", help="report structure and applicable routes")
     add_io(a)
@@ -77,8 +75,6 @@ def build_parser() -> _Parser:
     c = sub.add_parser("color", help="emit a verified b-coloring certificate")
     add_io(c)
     c.add_argument("--strategy", choices=STRATEGIES, default="auto")
-    c.add_argument("--oracle-ceiling", type=int, default=DEFAULT_VERTEX_CEILING,
-                   help="vertex limit for any exhaustive-search fallback")
 
     e = sub.add_parser("exact", help="exhaustive maximum b-coloring search")
     add_io(e)
@@ -153,8 +149,8 @@ def _color_with_strategy(g: Graph, args: argparse.Namespace) -> ConstructionOutc
     if args.strategy == "diameter":
         return construct_diameter_bcoloring(g)
     if args.strategy == "connectivity":
-        return construct_connectivity_bcoloring(g, oracle_ceiling=args.oracle_ceiling)
-    return construct_auto_bcoloring(g, oracle_ceiling=args.oracle_ceiling)
+        return construct_connectivity_bcoloring(g)
+    return construct_auto_bcoloring(g)
 
 
 def certificate_dict(outcome: ConstructionOutcome) -> dict:
@@ -202,7 +198,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
         payload = json.loads(sys.stdin.read())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "palette" not in payload or "assignment" not in payload:
         raise ValueError("certificate must be an object with palette and assignment")

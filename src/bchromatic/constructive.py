@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from bchromatic import analysis
-from bchromatic.graph_core import CeilingExceeded, Graph
+from bchromatic.graph_core import Graph
 from bchromatic.matching import BipartiteInstance, HallViolator, Matching, perfect_matching
 
 
@@ -671,9 +671,7 @@ def _merge_partials(g: Graph, a: PartialColoring, b: PartialColoring) -> Partial
         a.assignment[v] if a.assignment[v] is not None else b.assignment[v]
         for v in range(g.vertex_count)
     )
-    result = PartialColoring(a.palette_size, merged)
-    validate_partial_coloring(g, result)
-    return result
+    return PartialColoring(a.palette_size, merged)
 
 
 def _two_center_finish(
@@ -725,9 +723,7 @@ def construct_diameter_bcoloring(
 
 
 def construct_connectivity_bcoloring(
-    g: Graph,
-    trace: ConstructionTrace | None = None,
-    oracle_ceiling: int | None = None,
+    g: Graph, trace: ConstructionTrace | None = None
 ) -> ConstructionOutcome:
     """B-coloring with exactly d+1 colors when the vertex connectivity is at
     most (d+1)/2.
@@ -735,8 +731,16 @@ def construct_connectivity_bcoloring(
     Finds, in each of two components of the graph minus a minimum separator,
     a vertex with no neighbor in the separator, and seeds complementary
     dominating neighborhoods there; the separator keeps the regions apart.
-    For degree 3 a failed search falls back to the exact oracle, which the
-    classification of cubic C4-free graphs keeps honest.
+
+    For degree 3 the anchor (a separator-free vertex with a separator-free
+    neighbor) always exists. Let S be the separator, |S| = kappa <= 2, and C
+    a component of G - S. S is minimal, so each s in S has a neighbor in
+    every component, hence at most 2 kappa <= 4 edges join S to C. Were C
+    anchor-free, the vertices I of C with no S-neighbor would be independent,
+    each with all 3 neighbors among the at most 4 vertices of C adjacent to
+    S; two of them would share two neighbors, a 4-cycle, so |I| <= 1 and
+    |C| <= 5. The degree count 3|C| = 2e(C) + e(S, C) with e(S, C) <= 4 then
+    leaves only configurations holding a 4-cycle.
     """
     d = _gate_regular_c4_free(g)
     cert = analysis.vertex_connectivity(g)
@@ -773,12 +777,9 @@ def construct_connectivity_bcoloring(
                 anchor = a
                 break
         if anchor is None:
-            if d == 3:
-                return _oracle_fallback(g, d, oracle_ceiling)
             raise ConstructionInvariantError(
-                "no separator-free anchor vertex in a component; the existence "
-                f"argument fails only below degree 4 (degree {d}, separator "
-                f"{sorted(separator)})"
+                "no separator-free anchor vertex in a component (degree "
+                f"{d}, separator {sorted(separator)})"
             )
         steps = len(colors) - 1
         xs = usable[:steps]
@@ -789,7 +790,6 @@ def construct_connectivity_bcoloring(
             steps=steps,
             color_map=color_map_realizing(colors, d),
         )
-        validate_seed_plan(g, plan)
         if not set(g.adjacency[anchor]) <= side_set:
             raise ConstructionInvariantError(
                 f"anchor {anchor} has neighbors outside its component"
@@ -799,22 +799,19 @@ def construct_connectivity_bcoloring(
 
 
 def construct_auto_bcoloring(
-    g: Graph,
-    trace: ConstructionTrace | None = None,
-    oracle_ceiling: int | None = None,
+    g: Graph, trace: ConstructionTrace | None = None
 ) -> ConstructionOutcome:
     """The first route that applies: connectivity, then diameter, then the
     lower bound, which applies to every graph that passes the gate.
 
     Gates regularity and C4-freeness once and hands the routes the gated
     graph, whose degree their own gates read back. A route whose hypothesis
-    fails falls through, and so does the connectivity route when its
-    degree-3 fallback search refuses the graph's size.
+    fails falls through to the next.
     """
     gated = _GatedGraph(g.vertex_count, g.adjacency, _gate_regular_c4_free(g))
     try:
-        return construct_connectivity_bcoloring(gated, trace, oracle_ceiling)
-    except (HypothesisRejection, CeilingExceeded):
+        return construct_connectivity_bcoloring(gated, trace)
+    except HypothesisRejection:
         pass
     try:
         return construct_diameter_bcoloring(gated, trace)
@@ -822,19 +819,3 @@ def construct_auto_bcoloring(
         pass
     return construct_lower_bound_bcoloring(gated, trace)
 
-
-def _oracle_fallback(g: Graph, d: int, ceiling: int | None = None) -> ConstructionOutcome:
-    # local import: the oracle depends on this module's Coloring and verifier
-    from bchromatic import exact_oracle
-
-    if ceiling is None:
-        ceiling = exact_oracle.DEFAULT_VERTEX_CEILING
-    witness = exact_oracle.exists_bcoloring_with_k(g, d + 1, ceiling=ceiling)
-    if witness is None:
-        raise ConstructionInvariantError(
-            f"oracle found no {d + 1}-color b-coloring where one is guaranteed"
-        )
-    report = verify_bcoloring(g, witness)
-    if not report.is_b_coloring:
-        raise ConstructionInvariantError("oracle witness failed verification")
-    return ConstructionOutcome(witness, "small-case", d + 1, (), False, report)

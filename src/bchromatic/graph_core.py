@@ -341,20 +341,12 @@ def generate_cubic_chain(beads: int) -> Graph:
 # random C4-free regular graphs
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GenerationBudget:
-    """Caps on the repair search. swap_attempts of None scales with n*d."""
+# restarts of the swap search before it raises GenerationError
+GENERATION_RESTARTS = 12
 
-    swap_attempts: int | None = None
-    restarts: int = 12
-
-    def resolved_attempts(self, n: int, d: int) -> int:
-        if self.swap_attempts is not None:
-            return self.swap_attempts
-        return 5000 + 250 * n * d
-
-
-DEFAULT_BUDGET = GenerationBudget()
+# random:d,n refuses n above this before building its n x n common-neighbor
+# table (8 bytes a cell, so about 800 MB at the ceiling)
+RANDOM_VERTEX_CEILING = 10_000
 
 
 def _circulant_adjacency(n: int, d: int) -> list[set[int]]:
@@ -445,27 +437,26 @@ class _SwapState:
             self.edge_list[pos] = last
             self.edge_index[last] = pos
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
-        """Replace edges (a,b),(c,d) by (a,c),(b,d) if legal and the score
-        does not get worse (strictly better unless keep_equal)."""
-        if len({a, b, c, d}) < 4:
+    def switch(self, a: int, b: int, c: int, d: int) -> bool:
+        """Replace edges (a,b),(c,d) by (a,c),(b,d) unless the four vertices
+        repeat or a new edge already exists; returns whether it switched."""
+        if len({a, b, c, d}) < 4 or c in self.adj[a] or d in self.adj[b]:
             return False
-        if self.has_edge(a, c) or self.has_edge(b, d):
-            return False
-        before = self.score
         self.remove_edge(a, b)
         self.remove_edge(c, d)
         self.add_edge(a, c)
         self.add_edge(b, d)
+        return True
+
+    def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
+        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and the score does not
+        get worse (strictly better unless keep_equal)."""
+        before = self.score
+        if not self.switch(a, b, c, d):
+            return False
         if self.score < before or (keep_equal and self.score == before):
             return True
-        self.remove_edge(a, c)
-        self.remove_edge(b, d)
-        self.add_edge(a, b)
-        self.add_edge(c, d)
+        self.switch(a, c, b, d)
         return False
 
 
@@ -477,14 +468,7 @@ def _randomize(state: _SwapState, rng: random.Random, swaps: int) -> None:
         e2 = state.edge_list[rng.randrange(m)]
         a, b = e1
         c, d = e2 if rng.random() < 0.5 else (e2[1], e2[0])
-        if len({a, b, c, d}) < 4:
-            continue
-        if state.has_edge(a, c) or state.has_edge(b, d):
-            continue
-        state.remove_edge(a, b)
-        state.remove_edge(c, d)
-        state.add_edge(a, c)
-        state.add_edge(b, d)
+        state.switch(a, b, c, d)
 
 
 def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
@@ -505,12 +489,7 @@ def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
     return state.score == 0
 
 
-def generate_random_c4_free_regular(
-    d: int,
-    n: int,
-    seed: int,
-    budget: GenerationBudget = DEFAULT_BUDGET,
-) -> Graph:
+def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     """Deterministic seeded search for a C4-free d-regular graph on n vertices.
 
     Starts from a circulant, randomizes it with degree-preserving edge swaps,
@@ -518,7 +497,8 @@ def generate_random_c4_free_regular(
     pairs until no 4-cycle remains. Restarts a bounded number of times and
     raises GenerationError when the budget runs out. Infeasible parameters
     (odd n*d, or n below the counting floor d*d - d + 1 for d >= 2) are
-    rejected up front.
+    rejected up front, and for d >= 3 so is n above RANDOM_VERTEX_CEILING
+    (CeilingExceeded).
     """
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")
@@ -541,9 +521,14 @@ def generate_random_c4_free_regular(
             raise GenerationError("the only 2-regular graph on 4 vertices is a 4-cycle")
         return generate_cycle(n)
 
+    if n > RANDOM_VERTEX_CEILING:
+        raise CeilingExceeded(
+            f"{n} vertices exceed the random generator's ceiling of {RANDOM_VERTEX_CEILING}"
+        )
+
     rng = random.Random(seed)
-    attempts = budget.resolved_attempts(n, d)
-    for _ in range(budget.restarts):
+    attempts = 5000 + 250 * n * d
+    for _ in range(GENERATION_RESTARTS):
         state = _SwapState(_circulant_adjacency(n, d))
         _randomize(state, rng, swaps=6 * n * d)
         if _descend(state, rng, attempts):
@@ -554,5 +539,5 @@ def generate_random_c4_free_regular(
             return g
     raise GenerationError(
         f"could not reach a C4-free {d}-regular graph on {n} vertices "
-        f"within {budget.restarts} restarts of {attempts} swaps"
+        f"within {GENERATION_RESTARTS} restarts of {attempts} swaps"
     )

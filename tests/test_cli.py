@@ -62,6 +62,12 @@ class TestGenerate:
         code, _, _ = run_cli(monkeypatch, capsys, ["generate", "--input", "random:2,4"])
         assert code == 2
 
+    def test_random_above_vertex_ceiling_exits_two(self, monkeypatch, capsys):
+        code, _, err = run_cli(
+            monkeypatch, capsys, ["generate", "--input", "random:3,100000000"]
+        )
+        assert code == 2 and "ceiling" in err
+
     def test_dimacs_output_refused(self, monkeypatch, capsys):
         code, _, _ = run_cli(
             monkeypatch, capsys,
@@ -252,6 +258,12 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_deeply_nested_json_exits_one(self, monkeypatch, capsys, petersen_file):
+        code, _, err = run_cli(
+            monkeypatch, capsys, ["verify", "--input", petersen_file], "[" * 200_000
+        )
+        assert code == 1 and "not valid JSON" in err
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, monkeypatch, capsys):
@@ -265,3 +277,9 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, monkeypatch, capsys):
         assert run_cli(monkeypatch, capsys, ["--help"])[0] == 0
+
+    def test_removed_flags_exit_one(self, monkeypatch, capsys, petersen_file):
+        argv = ["color", "--input", petersen_file, "--oracle-ceiling", "5"]
+        assert run_cli(monkeypatch, capsys, argv)[0] == 1
+        argv = ["generate", "--input", "petersen", "--format", "edge-list"]
+        assert run_cli(monkeypatch, capsys, argv)[0] == 1

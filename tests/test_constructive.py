@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -325,6 +326,61 @@ class TestConnectivityStrategy:
             con.construct_connectivity_bcoloring(petersen)
         with pytest.raises(con.HypothesisRejection):
             con.construct_connectivity_bcoloring(heawood)
+
+
+def _c4_free(adj):
+    return all(len(adj[u] & adj[w]) < 2 for u, w in itertools.combinations(range(len(adj)), 2))
+
+
+def _separator_attachments(k, inner):
+    """Every way a cubic graph attaches the component C = 0..k-1 with edges
+    `inner` to a minimum separator S of size 1 or 2 (vertices k, k+1): each
+    vertex of C takes its missing degree from S, and each s in S sends 1 or
+    2 edges into C, keeping a neighbor in another component. Edges inside S
+    and into other components are left out; they only add 4-cycles."""
+    missing = [3] * k
+    for u, v in inner:
+        missing[u] -= 1
+        missing[v] -= 1
+    for size in (1, 2):
+        if min(missing) < 0 or max(missing) > size:
+            continue
+        choices = [list(itertools.combinations(range(k, k + size), m)) for m in missing]
+        for picks in itertools.product(*choices):
+            adj = [set() for _ in range(k + size)]
+            for u, v in inner:
+                adj[u].add(v)
+                adj[v].add(u)
+            for u, ss in enumerate(picks):
+                for s in ss:
+                    adj[u].add(s)
+                    adj[s].add(u)
+            if all(1 <= len(adj[s]) <= 2 for s in range(k, k + size)):
+                yield adj
+
+
+class TestDegreeThreeAnchorLemma:
+    def test_every_c4_free_attachment_has_an_anchor(self):
+        # the connectivity route's docstring proves that at degree 3 each
+        # component of G - S holds a vertex with no S-neighbor and a
+        # neighbor with none either; the proof bounds |C| by 5
+        checked = 0
+        for k in range(1, 7):
+            pairs = list(itertools.combinations(range(k), 2))
+            for mask in range(1 << len(pairs)):
+                inner = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+                if 3 * k - 2 * len(inner) > 4:
+                    continue
+                c = gc.Graph.from_edges(k, inner)
+                if len(analysis.connected_components(c)) != 1:
+                    continue
+                for adj in _separator_attachments(k, inner):
+                    if not _c4_free(adj):
+                        continue
+                    checked += 1
+                    free = [v for v in range(k) if max(adj[v]) < k]
+                    assert any(adj[a] & set(free) for a in free), adj
+        assert checked > 0
 
 
 class TestStrategyAgreementProperty:

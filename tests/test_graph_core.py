@@ -200,10 +200,12 @@ class TestRandomRegularC4Free:
         g = gc.generate_random_c4_free_regular(0, 4, 0)
         assert g.edge_count == 0
 
-    def test_budget_dataclass(self):
-        b = gc.GenerationBudget(swap_attempts=10, restarts=2)
-        assert b.swap_attempts == 10 and b.restarts == 2
-        assert gc.DEFAULT_BUDGET.restarts == 12
+    def test_vertex_ceiling_precedes_the_swap_table(self, monkeypatch):
+        monkeypatch.setattr(gc, "RANDOM_VERTEX_CEILING", 30)
+        g = gc.generate_random_c4_free_regular(3, 30, 0)
+        assert g.vertex_count == 30
+        with pytest.raises(gc.CeilingExceeded):
+            gc.generate_random_c4_free_regular(3, 32, 0)
 
 
 @settings(max_examples=60, deadline=None)

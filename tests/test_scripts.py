@@ -1,0 +1,41 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from bchromatic import constructive as con, graph_core as gc
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_sweep_lower_bound_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sweep_lower_bound.py"), "--count", "2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "2 graphs" in done.stdout
+
+
+def test_showcase_try_route_takes_every_route():
+    spec = importlib.util.spec_from_file_location("showcase", ROOT / "scripts" / "showcase.py")
+    showcase = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(showcase)
+    g = gc.generate_cubic_chain(2)
+    results = {
+        fn.__name__: showcase.try_route(fn, g)
+        for fn in (
+            con.construct_lower_bound_bcoloring,
+            con.construct_diameter_bcoloring,
+            con.construct_connectivity_bcoloring,
+            con.construct_auto_bcoloring,
+        )
+    }
+    assert results == {
+        "construct_lower_bound_bcoloring": "3",
+        "construct_diameter_bcoloring": "-",
+        "construct_connectivity_bcoloring": "4",
+        "construct_auto_bcoloring": "4",
+    }
