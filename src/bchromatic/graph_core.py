@@ -344,8 +344,8 @@ def generate_cubic_chain(beads: int) -> Graph:
 # restarts of the swap search before it raises GenerationError
 GENERATION_RESTARTS = 12
 
-# random:d,n refuses n above this before building its n x n common-neighbor
-# table (8 bytes a cell, so about 800 MB at the ceiling)
+# random:d,n refuses n above this: a restart makes 6·n·d shuffle switches and
+# up to 5000 + 250·n·d descent attempts, so run time grows past use beyond it
 RANDOM_VERTEX_CEILING = 10_000
 
 
@@ -361,121 +361,136 @@ def _circulant_adjacency(n: int, d: int) -> list[set[int]]:
     return adj
 
 
+def _common_counts(adj: list[set[int]]) -> dict[int, int]:
+    """Common-neighbour count of each pair that has one, keyed u * n + v (u < v); O(n·d²)."""
+    n = len(adj)
+    counts: dict[int, int] = {}
+    for ns in adj:
+        ns = sorted(ns)
+        for i, u in enumerate(ns):
+            for v in ns[i + 1:]:
+                key = u * n + v
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 class _SwapState:
-    """Mutable degree-preserving edge-swap machinery with an incremental
-    count of common-neighbor pairs (zero iff the graph is C4-free)."""
+    """Mutable graph under degree-preserving edge switches. `switch` touches
+    only the adjacency sets and the edge list, so the score-blind shuffle
+    pays for nothing else. `count` then builds, once, the sparse counts of
+    `_common_counts`, the score Σ C(c, 2) over them (zero iff C4-free) and
+    the pairs with c ≥ 2; `try_swap` scores each proposal from the counts
+    and updates them only when it accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
         self.adj = adj
-        self.edge_list: list[tuple[int, int]] = []
-        self.edge_index: dict[tuple[int, int], int] = {}
-        for u in range(self.n):
-            for v in adj[u]:
-                if u < v:
-                    self.edge_index[(u, v)] = len(self.edge_list)
-                    self.edge_list.append((u, v))
-        self.common = [[0] * self.n for _ in range(self.n)]
+        self.edge_list = [(u, v) for u in range(self.n) for v in adj[u] if u < v]
+        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
+        self.counts: dict[int, int] = {}
         self.score = 0
-        self.bad_pairs: list[tuple[int, int]] = []
-        self.bad_index: dict[tuple[int, int], int] = {}
-        for w in range(self.n):
-            ns = sorted(adj[w])
-            for i in range(len(ns)):
-                for j in range(i + 1, len(ns)):
-                    self._bump(ns[i], ns[j], +1)
+        self.bad_pairs: list[int] = []
+        self.bad_index: dict[int, int] = {}
 
-    def _bump(self, u: int, v: int, delta: int) -> None:
-        if u > v:
-            u, v = v, u
-        c = self.common[u][v]
-        # moving from c to c+delta pairs changes the 4-cycle score by the
-        # difference of binomial(c, 2) terms
-        if delta > 0:
-            self.score += c
-        else:
-            self.score -= c - 1
-        c += delta
-        self.common[u][v] = c
-        key = (u, v)
-        if c >= 2 and key not in self.bad_index:
-            self.bad_index[key] = len(self.bad_pairs)
-            self.bad_pairs.append(key)
-        elif c < 2 and key in self.bad_index:
-            pos = self.bad_index.pop(key)
-            last = self.bad_pairs.pop()
-            if last != key:
-                self.bad_pairs[pos] = last
-                self.bad_index[last] = pos
+    def count(self) -> None:
+        self.counts = _common_counts(self.adj)
+        self.score = sum(c * (c - 1) // 2 for c in self.counts.values())
+        self.bad_pairs = [key for key, c in self.counts.items() if c >= 2]
+        self.bad_index = {key: i for i, key in enumerate(self.bad_pairs)}
 
-    def add_edge(self, u: int, v: int) -> None:
-        for w in self.adj[u]:
-            if w != v:
-                self._bump(w, v, +1)
-        for w in self.adj[v]:
-            if w != u:
-                self._bump(w, u, +1)
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        key = (min(u, v), max(u, v))
-        self.edge_index[key] = len(self.edge_list)
-        self.edge_list.append(key)
+    def legal(self, a: int, b: int, c: int, d: int) -> bool:
+        """Whether (a,b),(c,d) may become (a,c),(b,d): no repeated vertex, no new edge present."""
+        return len({a, b, c, d}) == 4 and c not in self.adj[a] and d not in self.adj[b]
 
-    def remove_edge(self, u: int, v: int) -> None:
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
-        for w in self.adj[u]:
-            if w != v:
-                self._bump(w, v, -1)
-        for w in self.adj[v]:
-            if w != u:
-                self._bump(w, u, -1)
-        key = (min(u, v), max(u, v))
-        pos = self.edge_index.pop(key)
-        last = self.edge_list.pop()
-        if last != key:
-            self.edge_list[pos] = last
-            self.edge_index[last] = pos
+    def switch(self, a: int, b: int, c: int, d: int) -> None:
+        """Replace the edges (a,b),(c,d) by (a,c),(b,d); the move must be legal."""
+        adj = self.adj
+        adj[a].remove(b)
+        adj[b].remove(a)
+        adj[c].remove(d)
+        adj[d].remove(c)
+        adj[a].add(c)
+        adj[c].add(a)
+        adj[b].add(d)
+        adj[d].add(b)
+        # each new edge takes the list slot of the old edge it replaces
+        index, edges = self.edge_index, self.edge_list
+        i = index.pop((a, b) if a < b else (b, a))
+        j = index.pop((c, d) if c < d else (d, c))
+        edges[i] = e = (a, c) if a < c else (c, a)
+        index[e] = i
+        edges[j] = e = (b, d) if b < d else (d, b)
+        index[e] = j
 
-    def switch(self, a: int, b: int, c: int, d: int) -> bool:
-        """Replace edges (a,b),(c,d) by (a,c),(b,d) unless the four vertices
-        repeat or a new edge already exists; returns whether it switched."""
-        if len({a, b, c, d}) < 4 or c in self.adj[a] or d in self.adj[b]:
-            return False
-        self.remove_edge(a, b)
-        self.remove_edge(c, d)
-        self.add_edge(a, c)
-        self.add_edge(b, d)
-        return True
+    def pair_changes(self, a: int, b: int, c: int, d: int) -> dict[int, int]:
+        """Net change of each pair's count under the legal switch (a,b),(c,d)
+        -> (a,c),(b,d). No 2-path uses two removed or two added edges (each two
+        are disjoint). For (x, old, new) in (a,b,c), (b,a,d), (c,d,a), (d,c,b),
+        x-old becomes x-new, and each other neighbour w of x moves one 2-path
+        from the pair {w, old} to {w, new}; legality keeps new out of N(x)."""
+        n = self.n
+        changes: dict[int, int] = {}
+        for x, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
+            for w in self.adj[x]:
+                if w != old:
+                    key = w * n + old if w < old else old * n + w
+                    changes[key] = changes.get(key, 0) - 1
+                    key = w * n + new if w < new else new * n + w
+                    changes[key] = changes.get(key, 0) + 1
+        return changes
+
+    def score_change(self, changes: dict[int, int]) -> int:
+        # C(c + δ, 2) - C(c, 2) = δ·c + C(δ, 2) for each changed pair
+        counts = self.counts
+        return sum(dv * counts.get(key, 0) + dv * (dv - 1) // 2 for key, dv in changes.items())
 
     def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
-        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and the score does not
-        get worse (strictly better unless keep_equal)."""
-        before = self.score
-        if not self.switch(a, b, c, d):
+        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and the score does not get
+        worse (strictly better unless keep_equal); a rejection changes nothing."""
+        if not self.legal(a, b, c, d):
             return False
-        if self.score < before or (keep_equal and self.score == before):
-            return True
-        self.switch(a, c, b, d)
-        return False
+        changes = self.pair_changes(a, b, c, d)
+        change = self.score_change(changes)
+        if change > 0 or (change == 0 and not keep_equal):
+            return False
+        self.switch(a, b, c, d)
+        counts, bad_index = self.counts, self.bad_index
+        for key, dv in changes.items():
+            now = counts.get(key, 0) + dv
+            if now:
+                counts[key] = now
+            else:
+                counts.pop(key, None)
+            if now >= 2 and key not in bad_index:
+                bad_index[key] = len(self.bad_pairs)
+                self.bad_pairs.append(key)
+            elif now < 2 and key in bad_index:
+                pos = bad_index.pop(key)
+                last = self.bad_pairs.pop()
+                if last != key:
+                    self.bad_pairs[pos] = last
+                    bad_index[last] = pos
+        self.score += change
+        return True
 
 
 def _randomize(state: _SwapState, rng: random.Random, swaps: int) -> None:
     # plain degree-preserving shuffle, ignores the C4 score
-    m = len(state.edge_list)
+    edges = state.edge_list
+    m = len(edges)
     for _ in range(swaps):
-        e1 = state.edge_list[rng.randrange(m)]
-        e2 = state.edge_list[rng.randrange(m)]
-        a, b = e1
+        a, b = edges[rng.randrange(m)]
+        e2 = edges[rng.randrange(m)]
         c, d = e2 if rng.random() < 0.5 else (e2[1], e2[0])
-        state.switch(a, b, c, d)
+        if state.legal(a, b, c, d):
+            state.switch(a, b, c, d)
 
 
 def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
     for _ in range(attempts):
         if state.score == 0:
             return True
-        u, v = state.bad_pairs[rng.randrange(len(state.bad_pairs))]
+        u, v = divmod(state.bad_pairs[rng.randrange(len(state.bad_pairs))], state.n)
         shared = sorted(state.adj[u] & state.adj[v])
         x = shared[rng.randrange(len(shared))]
         # one edge of a 4-cycle through (u, x, v)
@@ -492,9 +507,11 @@ def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
 def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     """Deterministic seeded search for a C4-free d-regular graph on n vertices.
 
-    Starts from a circulant, randomizes it with degree-preserving edge swaps,
-    then walks the swap neighborhood downhill on the count of common-neighbor
-    pairs until no 4-cycle remains. Restarts a bounded number of times and
+    Shuffles a circulant with 6·n·d score-blind degree-preserving edge
+    switches, counts common neighbours once in O(n·d²) memory and time, then
+    walks the switch neighbourhood downhill on the 4-cycle score, scoring
+    each proposal before applying it, until no 4-cycle remains; a recount
+    from scratch checks the result. Restarts a bounded number of times and
     raises GenerationError when the budget runs out. Infeasible parameters
     (odd n*d, or n below the counting floor d*d - d + 1 for d >= 2) are
     rejected up front, and for d >= 3 so is n above RANDOM_VERTEX_CEILING
@@ -531,11 +548,14 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     for _ in range(GENERATION_RESTARTS):
         state = _SwapState(_circulant_adjacency(n, d))
         _randomize(state, rng, swaps=6 * n * d)
+        state.count()
         if _descend(state, rng, attempts):
             g = Graph(state.n, tuple(tuple(sorted(ns)) for ns in state.adj))
             validate_graph(g)
             if any(len(ns) != d for ns in state.adj):
                 raise GenerationError("internal: swap search broke regularity")
+            if any(c >= 2 for c in _common_counts(state.adj).values()):
+                raise GenerationError("internal: swap search left a 4-cycle")
             return g
     raise GenerationError(
         f"could not reach a C4-free {d}-regular graph on {n} vertices "

@@ -1,8 +1,14 @@
+import math
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bchromatic import graph_core as gc
+from tests import oracles
 
 
 class TestGraphBasics:
@@ -206,6 +212,126 @@ class TestRandomRegularC4Free:
         assert g.vertex_count == 30
         with pytest.raises(gc.CeilingExceeded):
             gc.generate_random_c4_free_regular(3, 32, 0)
+
+    def test_final_recount_catches_a_wrong_score(self, monkeypatch):
+        real = gc._SwapState.score_change
+
+        def lying(state, changes):
+            # a worsening swap is scored as one that clears every 4-cycle
+            change = real(state, changes)
+            return -state.score if change > 0 else change
+
+        monkeypatch.setattr(gc._SwapState, "score_change", lying)
+        with pytest.raises(gc.GenerationError, match="internal"):
+            gc.generate_random_c4_free_regular(4, 20, 0)
+
+    def test_peak_memory(self):
+        # the counts are O(n·d²); anything O(n²) exceeds the bound at n = 2000
+        tracemalloc.start()
+        try:
+            gc.generate_random_c4_free_regular(3, 2000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_generator_against_oracles(data):
+    d = data.draw(st.sampled_from([3, 4, 5]))
+    floor = d * d - d + 1
+    n = data.draw(
+        st.integers(math.ceil(1.4 * floor), 3 * floor).filter(lambda n: n * d % 2 == 0)
+    )
+    g = gc.generate_random_c4_free_regular(d, n, data.draw(st.integers(0, 10**6)))
+    degree = Counter(v for edge in g.edges() for v in edge)
+    assert g.vertex_count == n
+    assert all(degree[v] == d for v in range(n))
+    assert oracles.brute_four_cycle(g) is None
+
+
+def _pair_counts(adj: list[set[int]]) -> dict[int, int]:
+    n = len(adj)
+    return {
+        u * n + v: len(adj[u] & adj[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+        if adj[u] & adj[v]
+    }
+
+
+def _score(adj: list[set[int]]) -> int:
+    return sum(math.comb(c, 2) for c in _pair_counts(adj).values())
+
+
+def _snapshot(state: gc._SwapState):
+    return (
+        [set(ns) for ns in state.adj],
+        list(state.edge_list),
+        dict(state.edge_index),
+        dict(state.counts),
+        state.score,
+        list(state.bad_pairs),
+        dict(state.bad_index),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_swap_scoring_matches_a_recount(data):
+    d = data.draw(st.integers(3, 5), label="d")
+    n = data.draw(st.integers(d + 2, 12).filter(lambda n: n * d % 2 == 0), label="n")
+    # shuffled circulants: small and dense, so triangles, 4-cycles and
+    # switches whose four edges interact are all common
+    state = gc._SwapState(gc._circulant_adjacency(n, d))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    gc._randomize(state, rng, swaps=data.draw(st.integers(0, 4 * n), label="shuffle"))
+    assert all(len(ns) == d for ns in state.adj)
+    state.count()
+    assert state.counts == _pair_counts(state.adj)
+
+    a = data.draw(st.integers(0, n - 1), label="a")
+    b = data.draw(st.sampled_from(sorted(state.adj[a])), label="b")
+    two_steps = sorted({w for x in state.adj[a] for w in state.adj[x]})
+    c = data.draw(
+        st.one_of(
+            st.sampled_from(sorted(state.adj[b])),  # c ∈ N(b)
+            st.sampled_from(two_steps),  # the new edge ac closes a triangle
+            st.integers(0, n - 1),
+        ),
+        label="c",
+    )
+    dd = data.draw(st.sampled_from(sorted(state.adj[c])), label="d'")
+    keep_equal = data.draw(st.booleans(), label="keep_equal")
+
+    before = _snapshot(state)
+    legal = state.legal(a, b, c, dd)
+    if legal:
+        change = state.score_change(state.pair_changes(a, b, c, dd))
+        switched = [set(ns) for ns in state.adj]
+        for x, y in ((a, b), (c, dd)):
+            switched[x].discard(y)
+            switched[y].discard(x)
+        for x, y in ((a, c), (b, dd)):
+            switched[x].add(y)
+            switched[y].add(x)
+        assert change == _score(switched) - _score(state.adj)
+    accepted = state.try_swap(a, b, c, dd, keep_equal)
+    assert accepted == (legal and (change < 0 or (change == 0 and keep_equal)))
+    if not accepted:
+        assert _snapshot(state) == before
+        return
+    assert state.adj == switched
+    assert state.counts == _pair_counts(switched)
+    assert 0 not in state.counts.values()
+    assert state.score == _score(switched)
+    assert sorted(state.bad_pairs) == sorted(k for k, c in state.counts.items() if c >= 2)
+    assert all(state.bad_pairs[i] == k for k, i in state.bad_index.items())
+    assert sorted(state.edge_list) == sorted(
+        (u, v) for u in range(n) for v in switched[u] if u < v
+    )
+    assert all(state.edge_list[i] == e for e, i in state.edge_index.items())
 
 
 @settings(max_examples=60, deadline=None)
