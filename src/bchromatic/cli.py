@@ -176,17 +176,14 @@ def _run_color(args: argparse.Namespace) -> int:
 
 def _run_exact(args: argparse.Namespace) -> int:
     g = _load_graph(args)
+    # result.report is the oracle's own verification of result.witness
     result = exact_b_chromatic(g, ceiling=args.oracle_ceiling)
-    report = verify_bcoloring(g, result.witness) if g.vertex_count else None
-    dominating = (
-        {str(c): v for c, v in sorted(report.realized.items())} if report else {}
-    )
     payload = {
         "phi": result.phi,
         "witness": {
             "palette": result.witness.palette_size,
             "assignment": list(result.witness.assignment),
-            "dominating": dominating,
+            "dominating": {str(c): v for c, v in sorted(result.report.realized.items())},
         },
         "explored": result.explored,
     }

@@ -1,21 +1,38 @@
 """Exact b-chromatic number by witness-guided exhaustive search.
 
 A b-coloring with k colors needs k distinct vertices, one per color, each
-adjacent to all other k-1 colors. Up to a color permutation the witnesses can
-be assumed sorted with ascending colors, so the search enumerates witness
-k-sets among vertices of degree at least k-1 and backtracks over the
-remaining vertices, propagating for every witness the set of colors its
-neighborhood still misses against the number of its still-uncolored
-neighbors. Small graphs only: the search refuses inputs above a vertex
-ceiling rather than run unbounded.
+adjacent to all other k-1 colors. Up to a color permutation the witnesses
+can be taken in ascending vertex order with ascending colors, so witness j
+(color j) is chosen, one at a time, among the vertices of degree at least
+k-1 after witness j-1: the order of itertools.combinations. With all k
+placed, the other vertices are colored most constrained first (lowest index
+on ties), each in ascending color order. Color sets are int bitmasks, bit c
+for color c. Every witness prefix and every coloring node must pass three
+checks, made in the pass over the uncolored vertices that picks the next:
+
+- count: the colors a witness still misses must not outnumber its uncolored
+  neighbors. When they are equal the witness is tight, and each of those
+  neighbors must take one of its missing colors.
+- empty domain: every uncolored vertex keeps a legal color, one that no
+  colored neighbor has and that every tight neighboring witness misses.
+- witness support: every color a witness misses is legal at one or more of
+  its uncolored neighbors.
+
+They are sound because legal sets only shrink deeper in the tree: a
+neighbor's color becomes fixed, or a witness becomes tight, and a tight
+witness stays tight or fails the count. A later witness's color must lie in
+its current legal set too. So a vertex or a missing color with no legal
+place at a node has none below it. The checks cut only subtrees without a
+b-coloring and the branching order does not depend on them, so the witness
+found is the one an unpruned search finds first; only `explored`, the color
+assignments tried, shrinks. Inputs above a vertex ceiling are refused.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from bchromatic.constructive import Coloring, verify_bcoloring
+from bchromatic.constructive import Coloring, VerificationReport, verify_bcoloring
 from bchromatic.graph_core import CeilingExceeded, Graph
 
 DEFAULT_VERTEX_CEILING = 24
@@ -23,117 +40,112 @@ DEFAULT_VERTEX_CEILING = 24
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact b-chromatic number with a verified witness coloring."""
+    """Exact b-chromatic number with a witness coloring and its verification."""
 
     phi: int
     witness: Coloring
     explored: int
+    report: VerificationReport
 
 
-def _search(g: Graph, k: int) -> tuple[Coloring | None, int]:
+def _search(g: Graph, k: int) -> tuple[OracleResult | None, int]:
     """Find a b-coloring with exactly k colors, counting assignments tried."""
     n = g.vertex_count
-    explored = 0
+    adj = g.adjacency
     candidates = [v for v in range(n) if g.degree(v) >= k - 1]
-    if len(candidates) < k:
-        return None, explored
-    full = frozenset(range(1, k + 1))
+    full = (1 << (k + 1)) - 2
+    colors = [0] * n
+    witness_of = [-1] * n
+    missing: list[int] = []  # per witness, the colors its neighborhood lacks
+    uncol: list[int] = []  # per witness, its uncolored neighbors
+    explored = 0
 
-    for combo in itertools.combinations(candidates, k):
-        colors = [0] * n
-        wit_at: dict[int, int] = {}
-        for i, w in enumerate(combo):
-            colors[w] = i + 1
-            wit_at[w] = i
-        missing: list[set[int]] = []
-        uncol = [0] * k
-        feasible = True
-        for i, w in enumerate(combo):
-            m = set(full) - {i + 1}
-            u = 0
-            for y in g.adjacency[w]:
-                cy = colors[y]
-                if cy:
-                    m.discard(cy)
-                else:
-                    u += 1
-            if len(m) > u:
-                feasible = False
-                break
-            missing.append(m)
-            uncol[i] = u
-        if not feasible:
-            continue
+    def scan() -> tuple[int, int] | None:
+        """The most constrained uncolored vertex and its legal set, (-1, 0)
+        when every vertex is colored, or None when a check fails."""
+        tight = [m if m.bit_count() == u else full for m, u in zip(missing, uncol)]
+        support = [0] * len(missing)
+        best_v, best_s, best_size = -1, 0, k + 1
+        for v in range(n):
+            if colors[v]:
+                continue
+            s = full
+            for y in adj[v]:
+                if colors[y]:
+                    s &= ~(1 << colors[y])
+                    if witness_of[y] >= 0:
+                        s &= tight[witness_of[y]]
+            if not s:
+                return None
+            for y in adj[v]:
+                if witness_of[y] >= 0:
+                    support[witness_of[y]] |= s
+            if s.bit_count() < best_size:
+                best_v, best_s, best_size = v, s, s.bit_count()
+        if any(m & ~s for m, s in zip(missing, support)):
+            return None
+        return best_v, best_s
 
-        uncolored_count = n - k
+    def assign(v: int, c: int) -> bool:
+        """Color v with c; False when a neighboring witness fails the count."""
+        colors[v] = c
+        ok = True
+        for y in adj[v]:
+            i = witness_of[y]
+            if i >= 0:
+                missing[i] &= ~(1 << c)
+                uncol[i] -= 1
+                ok = ok and missing[i].bit_count() <= uncol[i]
+        return ok
 
-        def legal(v: int) -> set[int]:
-            s = set(full)
-            for y in g.adjacency[v]:
-                cy = colors[y]
-                if cy:
-                    s.discard(cy)
-            for y in g.adjacency[v]:
-                i = wit_at.get(y)
-                # a witness with as many missing colors as uncolored
-                # neighbors forces each of them into the missing set
-                if i is not None and len(missing[i]) == uncol[i]:
-                    s &= missing[i]
-                    if not s:
-                        break
-            return s
-
-        def dfs() -> bool:
-            nonlocal explored, uncolored_count
-            if uncolored_count == 0:
-                return all(not m for m in missing)
-            best_v = -1
-            best_legal: set[int] | None = None
-            for v in range(n):
-                if colors[v]:
-                    continue
-                s = legal(v)
-                if best_legal is None or len(s) < len(best_legal):
-                    best_v, best_legal = v, s
-                    if not s:
-                        return False
-            assert best_legal is not None
-            for c in sorted(best_legal):
-                explored += 1
-                colors[best_v] = c
-                uncolored_count -= 1
-                log: list[tuple[int, int | None]] = []
-                ok = True
-                for y in g.adjacency[best_v]:
-                    i = wit_at.get(y)
-                    if i is None:
-                        continue
-                    uncol[i] -= 1
-                    if c in missing[i]:
-                        missing[i].discard(c)
-                        log.append((i, c))
-                    else:
-                        log.append((i, None))
-                    if len(missing[i]) > uncol[i]:
-                        ok = False
-                if ok and dfs():
+    def color(v: int, legal: int) -> bool:
+        """Try v's legal colors in ascending order; v = -1 means all colored."""
+        nonlocal explored
+        if v < 0:
+            return True
+        saved = missing[:], uncol[:]
+        while legal:
+            bit = legal & -legal
+            legal ^= bit
+            explored += 1
+            if assign(v, bit.bit_length() - 1):
+                node = scan()
+                if node is not None and color(*node):
                     return True
-                for i, removed in reversed(log):
-                    uncol[i] += 1
-                    if removed is not None:
-                        missing[i].add(removed)
-                colors[best_v] = 0
-                uncolored_count += 1
-            return False
+            missing[:], uncol[:] = saved
+        colors[v] = 0
+        return False
 
-        if dfs():
-            found = Coloring(k, tuple(colors))
-            report = verify_bcoloring(g, found)
-            assert report.is_b_coloring and len(report.used_colors) == k, (
-                "search returned a non-b-coloring"
-            )
-            return found, explored
-    return None, explored
+    def choose(j: int, start: int) -> bool:
+        """Place witness j (color j+1) at a candidate from index start on."""
+        saved = missing[:], uncol[:]
+        for idx in range(start, len(candidates) - k + j + 1):
+            w = candidates[idx]
+            ok = assign(w, j + 1)
+            witness_of[w] = j
+            m = full & ~(1 << (j + 1))
+            for y in adj[w]:
+                m &= ~(1 << colors[y])
+            missing.append(m)
+            uncol.append(sum(1 for y in adj[w] if not colors[y]))
+            if ok and m.bit_count() <= uncol[j]:
+                node = scan()
+                if node is not None and (
+                    color(*node) if j + 1 == k else choose(j + 1, idx + 1)
+                ):
+                    return True
+            missing[:], uncol[:] = saved
+            colors[w], witness_of[w] = 0, -1
+        return False
+
+    if not choose(0, 0):
+        return None, explored
+    found = Coloring(k, tuple(colors))
+    report = verify_bcoloring(g, found)
+    assert report.is_b_coloring and len(report.used_colors) == k, (
+        "search returned a non-b-coloring"
+    )
+    return OracleResult(k, found, explored, report), explored
 
 
 def exists_bcoloring_with_k(
@@ -151,7 +163,7 @@ def exists_bcoloring_with_k(
     if not 1 <= k <= g.max_degree() + 1:
         raise ValueError(f"k must lie in 1..{g.max_degree() + 1}")
     found, _ = _search(g, k)
-    return found
+    return None if found is None else found.witness
 
 
 def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> OracleResult:
@@ -164,7 +176,8 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
     coloring into one with fewer colors.
     """
     if g.vertex_count == 0:
-        return OracleResult(0, Coloring(0, ()), 0)
+        empty = Coloring(0, ())
+        return OracleResult(0, empty, 0, verify_bcoloring(g, empty))
     if g.vertex_count > ceiling:
         raise CeilingExceeded(
             f"{g.vertex_count} vertices exceed the search ceiling {ceiling}"
@@ -174,5 +187,5 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
         found, tried = _search(g, k)
         explored += tried
         if found is not None:
-            return OracleResult(k, found, explored)
+            return replace(found, explored=explored)
     raise AssertionError("no b-coloring found at any k; unreachable for n >= 1")

@@ -260,3 +260,123 @@ def naive_b_chromatic(g: Graph) -> int:
 
     rec(0, 0)
     return best
+
+
+def _reference_search(g: Graph, k: int) -> tuple[tuple[int, ...] | None, int]:
+    """A b-coloring with exactly k colors, and the colour assignments tried:
+    every witness k-set in lexicographic order, each refuted or completed by
+    a most-constrained-first colouring search that keeps, per witness, the
+    set of colors its neighbourhood still misses."""
+    n = g.vertex_count
+    explored = 0
+    candidates = [v for v in range(n) if g.degree(v) >= k - 1]
+    if len(candidates) < k:
+        return None, explored
+    full = frozenset(range(1, k + 1))
+
+    for combo in itertools.combinations(candidates, k):
+        colors = [0] * n
+        wit_at: dict[int, int] = {}
+        for i, w in enumerate(combo):
+            colors[w] = i + 1
+            wit_at[w] = i
+        missing: list[set[int]] = []
+        uncol = [0] * k
+        feasible = True
+        for i, w in enumerate(combo):
+            m = set(full) - {i + 1}
+            u = 0
+            for y in g.adjacency[w]:
+                cy = colors[y]
+                if cy:
+                    m.discard(cy)
+                else:
+                    u += 1
+            if len(m) > u:
+                feasible = False
+                break
+            missing.append(m)
+            uncol[i] = u
+        if not feasible:
+            continue
+
+        uncolored_count = n - k
+
+        def legal(v: int) -> set[int]:
+            s = set(full)
+            for y in g.adjacency[v]:
+                cy = colors[y]
+                if cy:
+                    s.discard(cy)
+            for y in g.adjacency[v]:
+                i = wit_at.get(y)
+                if i is not None and len(missing[i]) == uncol[i]:
+                    s &= missing[i]
+                    if not s:
+                        break
+            return s
+
+        def dfs() -> bool:
+            nonlocal explored, uncolored_count
+            if uncolored_count == 0:
+                return all(not m for m in missing)
+            best_v = -1
+            best_legal: set[int] | None = None
+            for v in range(n):
+                if colors[v]:
+                    continue
+                s = legal(v)
+                if best_legal is None or len(s) < len(best_legal):
+                    best_v, best_legal = v, s
+                    if not s:
+                        return False
+            assert best_legal is not None
+            for c in sorted(best_legal):
+                explored += 1
+                colors[best_v] = c
+                uncolored_count -= 1
+                log: list[tuple[int, int | None]] = []
+                ok = True
+                for y in g.adjacency[best_v]:
+                    i = wit_at.get(y)
+                    if i is None:
+                        continue
+                    uncol[i] -= 1
+                    if c in missing[i]:
+                        missing[i].discard(c)
+                        log.append((i, c))
+                    else:
+                        log.append((i, None))
+                    if len(missing[i]) > uncol[i]:
+                        ok = False
+                if ok and dfs():
+                    return True
+                for i, removed in reversed(log):
+                    uncol[i] += 1
+                    if removed is not None:
+                        missing[i].add(removed)
+                colors[best_v] = 0
+                uncolored_count += 1
+            return False
+
+        if dfs():
+            return tuple(colors), explored
+    return None, explored
+
+
+def reference_exact_search(g: Graph) -> tuple[int, tuple[int, ...], int]:
+    """(phi, witness assignment, colour assignments tried) by scanning k
+    down from max_degree+1 with `_reference_search`: the exact oracle's
+    search before it chose witnesses one at a time and checked, at every
+    node, that each witness's missing colours still have a neighbour that
+    can take them. The fast oracle must find the same witness in no more
+    assignments."""
+    if g.vertex_count == 0:
+        return 0, (), 0
+    explored = 0
+    for k in range(g.max_degree() + 1, 0, -1):
+        found, tried = _reference_search(g, k)
+        explored += tried
+        if found is not None:
+            return k, found, explored
+    raise AssertionError("no b-coloring found at any k")

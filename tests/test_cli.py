@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
+import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bchromatic import analysis, cli, graph_core as gc
+from bchromatic import analysis, cli, constructive, exact_oracle, graph_core as gc
 
 
 def run_cli(monkeypatch, capsys, argv, stdin_text=""):
@@ -219,6 +223,38 @@ class TestExact:
         )
         assert code == 0 and json.loads(out)["phi"] == 4
 
+    def test_complete_bipartite_refuted_by_witness_support(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "k77.txt"
+        path.write_text(gc.serialize_edge_list(gc.generate_complete_bipartite(7)))
+        code, out, _ = run_cli(monkeypatch, capsys, ["exact", "--input", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["phi"] == 2 and payload["explored"] == 12
+
+    def test_verifies_the_witness_once(self, monkeypatch, capsys, petersen_file):
+        checked = []
+
+        def counted(g, coloring):
+            checked.append(coloring)
+            return constructive.verify_bcoloring(g, coloring)
+
+        monkeypatch.setattr(exact_oracle, "verify_bcoloring", counted)
+        monkeypatch.setattr(cli, "verify_bcoloring", counted)
+        code, out, _ = run_cli(monkeypatch, capsys, ["exact", "--input", petersen_file])
+        assert code == 0 and len(checked) == 1
+        witness = json.loads(out)["witness"]
+        assert tuple(witness["assignment"]) == checked[0].assignment
+        for color, vertex in witness["dominating"].items():
+            assert witness["assignment"][vertex] == int(color)
+
+    def test_empty_graph(self, monkeypatch, capsys):
+        code, out, _ = run_cli(monkeypatch, capsys, ["exact", "--input", "-"], "0 0\n")
+        assert code == 0 and out == json.dumps({
+            "phi": 0,
+            "witness": {"palette": 0, "assignment": [], "dominating": {}},
+            "explored": 0,
+        }, indent=2) + "\n"
+
 
 class TestVerify:
     def test_round_trip(self, monkeypatch, capsys, petersen_file):
@@ -283,3 +319,137 @@ class TestUsageErrors:
         assert run_cli(monkeypatch, capsys, argv)[0] == 1
         argv = ["generate", "--input", "petersen", "--format", "edge-list"]
         assert run_cli(monkeypatch, capsys, argv)[0] == 1
+
+
+def run_cli_plain(argv, stdin_text=""):
+    """cli.main with stdin fed and output captured. Hypothesis runs many
+    examples in one test call, so this does not use the function-scoped
+    monkeypatch and capsys fixtures that run_cli needs."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, err.getvalue()
+
+
+# Declared vertex counts above the parser's ceiling.
+_huge = st.sampled_from([gc.PARSE_VERTEX_CEILING + 1, 10**9, 10**40])
+_noise = st.text(alphabet="0123456789 -+_xep.\t\r", max_size=8) | st.text(max_size=8)
+
+
+def _edges(n, first):
+    """Up to 40 distinct-ended edge lines 'u v' on vertices first..first+n-1."""
+    if n < 2:
+        return st.just([])
+    end = st.integers(min_value=first, max_value=first + n - 1)
+    pairs = st.tuples(end, end).filter(lambda e: e[0] != e[1])
+    return st.lists(pairs.map("{0[0]} {0[1]}".format), max_size=40)
+
+
+def _noisy_edges(n, first):
+    """Up to 40 lines: 'u v' with endpoints up to one out of range, or noise."""
+    end = st.integers(min_value=first - 1, max_value=first + n)
+    return st.lists(st.tuples(end, end).map("{0[0]} {0[1]}".format) | _noise, max_size=40)
+
+
+@st.composite
+def edge_list_text(draw):
+    """Edge-list text for up to 64 vertices: well formed half the time;
+    otherwise noisy lines under a header with a wrong edge count, a vertex
+    count over the ceiling, or noise."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    if draw(st.booleans()):
+        lines = draw(_edges(n, 0))
+        return "\n".join([f"{n} {len(lines)}", *lines]) + "\n"
+    lines = draw(_noisy_edges(n, 0))
+    header = draw(
+        st.integers(min_value=-1, max_value=45).map(f"{n} {{}}".format)
+        | _huge.map(f"{{}} {len(lines)}".format) | _noise
+    )
+    return "\n".join([header, *lines]) + draw(st.sampled_from(["", "\n", "\n\n "]))
+
+
+@st.composite
+def dimacs_text(draw):
+    """DIMACS text for up to 64 vertices: well formed half the time;
+    otherwise noisy 'e' lines among one or more problem lines (some over
+    the ceiling), comments and noise, in any order."""
+    n = draw(st.integers(min_value=0, max_value=64))
+    if draw(st.booleans()):
+        lines = ["e " + line for line in draw(_edges(n, 1))]
+        return "\n".join([f"p edge {n} {len(lines)}", "c comment", *lines])
+    lines = ["e " + line for line in draw(_noisy_edges(n, 1))]
+    problem = st.just(n) | _huge
+    extra = problem.map("p edge {} 1".format) | st.just("c comment") | _noise
+    for line in draw(st.lists(extra, min_size=1, max_size=3)):
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), line)
+    return "\n".join(lines)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+# A b-coloring of gc.generate_petersen() with 3 colors.
+_PETERSEN_WITNESS = (1, 2, 3, 1, 2, 3, 1, 1, 2, 3)
+
+
+@st.composite
+def _near_witness(draw):
+    """A b-coloring of Petersen with up to two entries changed."""
+    assignment = list(_PETERSEN_WITNESS)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=9))
+        assignment[at] = draw(st.integers(min_value=-1, max_value=5))
+    return assignment
+
+
+_assignments = _near_witness() | st.lists(st.integers(min_value=-1, max_value=6), max_size=12)
+_certificates = (
+    st.fixed_dictionaries(
+        {"palette": st.integers(min_value=-1, max_value=6), "assignment": _assignments}
+    ).map(json.dumps)
+    | st.fixed_dictionaries(
+        {"palette": st.integers() | _json_values, "assignment": _assignments | _json_values},
+        optional={"strategy": _json_values},
+    ).map(json.dumps)
+    | _json_values.map(json.dumps)
+    | st.text(max_size=40)
+)
+
+
+class TestFuzzedInput:
+    """No input makes the command line fail with an internal error (exit 3).
+    Malformed text, malformed certificates and vertex counts over the
+    parser's ceiling exit 1; graphs over the oracle's ceiling and
+    certificates that are not b-colorings exit 2; the rest exit 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["analyze", "exact"]), text=edge_list_text())
+    def test_edge_list(self, command, text):
+        code, err = run_cli_plain([command, "--input", "-"], text)
+        assert code in (0, 1, 2), err
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["analyze", "exact"]), text=dimacs_text())
+    def test_dimacs(self, command, text):
+        code, err = run_cli_plain([command, "--input", "-", "--format", "dimacs"], text)
+        assert code in (0, 1, 2), err
+
+    @pytest.fixture(scope="class")
+    def petersen_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "petersen.txt"
+        path.write_text(gc.serialize_edge_list(gc.generate_petersen()))
+        return str(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(certificate=_certificates)
+    def test_verify_certificate(self, petersen_path, certificate):
+        code, err = run_cli_plain(["verify", "--input", petersen_path], certificate)
+        assert code in (0, 1, 2), err

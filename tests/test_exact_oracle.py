@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from bchromatic import exact_oracle as eo, graph_core as gc
 from bchromatic.constructive import verify_bcoloring
 from tests import oracles
+from tests.test_analysis import _regular_edges
 
 
 class TestExistsWithK:
@@ -70,6 +71,22 @@ class TestExactValues:
         with pytest.raises(gc.CeilingExceeded):
             eo.exact_b_chromatic(gc.generate_cubic_chain(3))
 
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_complete_bipartite_needs_no_refuting_search(self, d):
+        # Two witnesses on one side leave the other side unable to take
+        # either's colour, so the witness-support check refutes every
+        # k >= 3 among the witness prefixes; k = 2 then colours the other
+        # 2d - 2 vertices once each. The unpruned search tries 72,042
+        # assignments at d = 7.
+        res = eo.exact_b_chromatic(gc.generate_complete_bipartite(d))
+        assert res.phi == 2 and res.explored == 2 * d - 2
+
+    def test_report_is_the_witness_verification(self, petersen):
+        res = eo.exact_b_chromatic(petersen)
+        assert res.report == verify_bcoloring(petersen, res.witness)
+        empty = eo.exact_b_chromatic(gc.Graph.from_edges(0, []))
+        assert empty.report.realized == {} and empty.report.is_b_coloring
+
 
 class TestAgainstNaive:
     def test_corpus(self, small_corpus):
@@ -89,3 +106,35 @@ class TestAgainstNaive:
         assert res.phi == oracles.naive_b_chromatic(g)
         rep = verify_bcoloring(g, res.witness)
         assert rep.is_b_coloring and len(rep.used_colors) == res.phi
+
+
+class TestAgainstReference:
+    """The pruned search finds the unpruned one's first witness
+    (`oracles.reference_exact_search`) in no more colour assignments."""
+
+    @staticmethod
+    def check(g):
+        res = eo.exact_b_chromatic(g)
+        phi, witness, explored = oracles.reference_exact_search(g)
+        assert (res.phi, res.witness.assignment) == (phi, witness)
+        assert res.explored <= explored
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=0, max_value=12), st.floats(min_value=0, max_value=1),
+           st.randoms(use_true_random=False))
+    def test_gnp_graphs(self, n, p, rng):
+        self.check(gc.Graph.from_edges(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        ))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=3, max_value=5), st.integers(min_value=4, max_value=16),
+           st.randoms(use_true_random=False))
+    def test_regular_graphs(self, d, n, rng):
+        n = max(n, d + 1)
+        n -= n * d % 2
+        label = list(range(n))
+        rng.shuffle(label)
+        self.check(gc.Graph.from_edges(
+            n, [(label[u], label[v]) for u, v in _regular_edges(rng, n, d)]
+        ))
