@@ -166,63 +166,81 @@ class CutCertificate:
     components: tuple[tuple[int, ...], ...]
 
 
-def _split_graph(g: Graph) -> list[dict[int, int]]:
-    """Residual capacities indexed by node 2v = v_in, 2v+1 = v_out: arcs
-    v_in -> v_out of capacity 1, u_out -> v_in per edge of capacity n + 1,
-    and every reverse arc at 0."""
+def _split_graph(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
+    """The vertex-split flow network as flat arc arrays (head, capacity, arcs
+    out of each node). Node 2v is v_in and 2v + 1 is v_out. Arc 2v runs
+    v_in -> v_out with capacity 1; each edge uv adds u_out -> v_in and
+    v_out -> u_in with capacity n + 1. The reverse of arc a is arc a ^ 1, at
+    capacity 0."""
     n = g.vertex_count
-    cap: list[dict[int, int]] = [{} for _ in range(2 * n)]
+    head: list[int] = []
+    cap: list[int] = []
+    out: list[list[int]] = [[] for _ in range(2 * n)]
+
+    def arc(x: int, y: int, c: int) -> None:
+        out[x].append(len(head))
+        out[y].append(len(head) + 1)
+        head.extend((y, x))
+        cap.extend((c, 0))
+
     for v in range(n):
-        cap[2 * v][2 * v + 1], cap[2 * v + 1][2 * v] = 1, 0
+        arc(2 * v, 2 * v + 1, 1)
     for u, v in g.edges():
-        cap[2 * u + 1][2 * v] = cap[2 * v + 1][2 * u] = n + 1
-        cap[2 * v][2 * u + 1] = cap[2 * u][2 * v + 1] = 0
-    return cap
+        arc(2 * u + 1, 2 * v, n + 1)
+        arc(2 * v + 1, 2 * u, n + 1)
+    return head, cap, out
 
 
 def _min_vertex_cut(
-    split: list[dict[int, int]], s: int, t: int, cap_limit: int
-) -> tuple[int, tuple[int, ...] | None]:
+    split: tuple[list[int], list[int], list[list[int]]], s: int, t: int, cap_limit: int
+) -> tuple[int, tuple[int, ...] | None, list[int]]:
     """Minimum s-t vertex cut by unit-capacity flow on a copy of the split
-    graph (from _split_graph) with the internal arcs of s and t closed.
+    graph's capacities (from _split_graph) with the internal arcs of s and t
+    closed.
 
-    Returns (flow, cut) when the flow is exhausted below cap_limit, else
-    (cap_limit, None) once the limit is reached (search aborted). The cut is
-    read off the nodes the source reaches in the final residual graph, a set
-    that is the same for every maximum flow, so arc order does not change it.
+    Returns (flow, cut, beyond) when the flow is exhausted below cap_limit,
+    else (cap_limit, None, []) once the limit is reached (search aborted).
+    The cut is read off the nodes the last, failed BFS labels from the
+    source: the v with v_in labelled and v_out not. That set is the same for
+    every maximum flow, so arc order does not change it. beyond lists the
+    vertices whose v_in it leaves unlabelled; apart from s, those are the
+    vertices neither in the cut nor in the component of s in g minus the cut.
     """
-    n = len(split) // 2
-    cap = [dict(row) for row in split]
+    head, base, out = split
+    n = len(out) // 2
+    cap = base[:]
     # s and t are the flow's ends (source s_out, sink t_in), never cut vertices
-    cap[2 * s][2 * s + 1] = cap[2 * t][2 * t + 1] = 0
+    cap[2 * s] = cap[2 * t] = 0
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cap_limit:
-        parent: dict[int, int] = {source: source}
-        q = deque([source])
-        while q and sink not in parent:
-            x = q.popleft()
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
-                    q.append(y)
-        if sink not in parent:
-            reach = set(parent)
+        via = [-1] * (2 * n)  # the arc that labelled each node
+        via[source] = -2
+        queue = [source]
+        for x in queue:
+            for a in out[x]:
+                y = head[a]
+                if cap[a] and via[y] == -1:
+                    via[y] = a
+                    queue.append(y)
+            if via[sink] != -1:
+                break
+        else:
             cut = tuple(
                 v for v in range(n)
-                if v != s and v != t and 2 * v in reach and 2 * v + 1 not in reach
+                if v != s and v != t and via[2 * v] != -1 and via[2 * v + 1] == -1
             )
             if len(cut) != flow:
                 raise AssertionError("min-cut extraction disagrees with flow value")
-            return flow, cut
+            return flow, cut, [v for v in range(n) if via[2 * v] == -1]
         y = sink
         while y != source:
-            x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] += 1
-            y = x
+            a = via[y]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            y = head[a ^ 1]
         flow += 1
-    return flow, None
+    return flow, None, []
 
 
 def vertex_connectivity(g: Graph) -> CutCertificate:
@@ -234,7 +252,8 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     (being minimal) splits two non-adjacent neighbours of v. So kappa is
     delta or the smallest of the O(n + delta^2) flows from v to each
     non-neighbour and between each two non-adjacent neighbours, each flow
-    capped at the best value so far.
+    capped at the best value so far (Even and Tarjan, SIAM J. Comput. 1975:
+    unit flows on the vertex-split graph).
 
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
@@ -243,9 +262,18 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     the arcs s_out -> x_in, x in N(s), carry capacity n + 1, so every finite
     cut's source side holds s_out and all x_in, and that set is already a
     cut of capacity d. The separator is then the smallest sorted N(s) over
-    the s with a non-neighbour t > s, and no further flow runs. Otherwise
-    every non-adjacent pair runs one flow capped at kappa + 1, which keeps
-    exactly the pairs whose local connectivity is kappa.
+    the s with a non-neighbour t > s, and no further flow runs.
+
+    Otherwise the pairs are swept in order, each flow capped at kappa + 1,
+    which keeps exactly the pairs whose local connectivity is kappa. A flow
+    of kappa from s to t, with cut C and A the component of s in g - C,
+    settles every later sink t' > s outside A and C: its cut is C too, so
+    no flow runs for it. Proof: C separates s from t', so the local
+    connectivity of (s, t') is kappa and C is a minimum s-t' separator. The
+    closest such separator C' therefore has its side A' inside A, so C' lies
+    in A and C, and it does not contain t. If A' were not A, C' would be a
+    minimum s-t separator whose side is smaller than A, against C being
+    the closest one. So C' = C.
     """
     n = g.vertex_count
     if n == 0:
@@ -271,11 +299,15 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     else:
         cuts = []
         for s in range(n):
+            settled = [False] * n
             for t in range(s + 1, n):
-                if not g.has_edge(s, t):
-                    cut = _min_vertex_cut(split, s, t, best + 1)[1]
-                    if cut is not None:
-                        cuts.append(cut)
+                if settled[t] or g.has_edge(s, t):
+                    continue
+                _, cut, beyond = _min_vertex_cut(split, s, t, best + 1)
+                if cut is not None:
+                    cuts.append(cut)
+                    for x in beyond:
+                        settled[x] = True
         separator = min(cuts)
     return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
 
@@ -429,18 +461,61 @@ class HypothesisReport:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
+def _splits_three_ways(g: Graph, removed: tuple[int, ...]) -> bool:
+    """Whether some vertex y splits g - removed, which must be connected,
+    into >= 3 components: one iterative DFS with discovery times and low
+    points (Hopcroft and Tarjan, CACM 1973). Each DFS child c of y with
+    low[c] >= disc[y] is a piece that y cuts off, and a y that is not the
+    root keeps one more piece, the one holding its parent."""
+    adj = g.adjacency
+    n = g.vertex_count
+    disc = [-1] * n
+    for x in removed:
+        disc[x] = n  # never entered, and never lowers a low point
+    root = disc.index(-1)
+    low = disc[:]
+    pieces = [1] * n  # the piece that holds the parent
+    disc[root] = low[root] = pieces[root] = 0
+    clock = 1
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        x, todo = stack[-1]
+        for y in todo:
+            if disc[y] == -1:
+                disc[y] = low[y] = clock
+                clock += 1
+                stack.append((y, iter(adj[y])))
+                break
+            low[x] = min(low[x], disc[y])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[x])
+                if low[x] >= disc[p]:
+                    pieces[p] += 1
+                    if pieces[p] >= 3:
+                        return True
+    return False
+
+
 def _three_component_separator_exists(g: Graph, kappa: int) -> bool | None:
     """Whether some separator of size exactly kappa splits g into >= 3
-    components; None when the subset sweep would exceed its budget."""
+    components; None when the C(n, kappa) separators of that size exceed
+    the sweep budget.
+
+    For kappa >= 1, S = X + {y} is such a separator exactly when y splits
+    g - X into >= 3 pieces, and g - X is connected because |X| < kappa. So
+    one DFS per (kappa - 1)-subset X finds the articulation points that
+    split three ways (_splits_three_ways), in place of one component search
+    per kappa-subset.
+    """
     n = g.vertex_count
     if kappa == 0:
         return len(connected_components(g)) >= 3
     if math.comb(n, kappa) > _SEPARATOR_SWEEP_BUDGET:
         return None
-    for subset in combinations(range(n), kappa):
-        if len(connected_components(g, frozenset(subset))) >= 3:
-            return True
-    return False
+    return any(_splits_three_ways(g, x) for x in combinations(range(n), kappa - 1))
 
 
 def check_hypotheses(g: Graph) -> HypothesisReport:

@@ -205,6 +205,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         isinstance(c, int) for c in assignment
     ):
         raise ValueError("palette must be an integer and assignment a list of integers")
+    if palette < 0 or not all(1 <= c <= palette for c in assignment):
+        raise ValueError(f"certificate colors must lie in 1..palette, palette {palette}")
     coloring = Coloring(palette, tuple(assignment))
     report = verify_bcoloring(g, coloring)
     print(f"proper: {report.proper}")

@@ -79,6 +79,52 @@ def petersen_lift(copies: int, seed: int) -> gc.Graph:
     return gc.Graph.from_edges(10 * copies, edges)
 
 
+def hub_graph(data) -> gc.Graph:
+    """1-3 hub vertices joined to 2-5 dense clusters, plus a few random
+    edges, randomly labelled: a separator of hubs often leaves three or more
+    clusters apart, which a G(n, p) graph almost never does."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    hubs = data.draw(st.integers(min_value=1, max_value=3))
+    n, edges = hubs, set()
+    for _ in range(data.draw(st.integers(min_value=2, max_value=5))):
+        cluster = range(n, n + rng.randint(1, 5))
+        n = cluster.stop
+        edges |= {(u, v) for u in cluster for v in cluster if u < v and rng.random() < 0.8}
+        edges |= {(h, v) for h in range(hubs) for v in cluster if rng.random() < 0.5}
+    for _ in range(rng.randint(0, 3)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    label = list(range(n))
+    rng.shuffle(label)
+    return gc.Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
+    """Each block less its first edge (a, b), with b joined to the next
+    block's a: regular when the blocks are, and cut by two vertices."""
+    edges, ends, shift = [], [], 0
+    for block in blocks:
+        (a, b), *rest = block.edges()
+        ends.append((a + shift, b + shift))
+        edges += [(u + shift, v + shift) for u, v in rest]
+        shift += block.vertex_count
+    edges += [(ends[i][1], ends[(i + 1) % len(ends)][0]) for i in range(len(ends))]
+    return gc.Graph.from_edges(shift, edges)
+
+
+def count_calls(monkeypatch, module, name: str) -> list[int]:
+    """Count the calls of module.name from here on, in a one-item list."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestRegularityAndSmallPatterns:
     def test_is_regular(self, petersen):
         assert analysis.is_regular(petersen) == 3
@@ -280,6 +326,53 @@ class TestVertexConnectivity:
         path.write_text(gc.serialize_edge_list(g))
         assert cli.main(["analyze", "--input", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa"] == 3
+
+    def test_found_cut_settles_only_sinks_beyond_it(self):
+        """From s = 1 the first cut, {3} for the sink 2, leaves 0 and 9 on
+        the side of 1, so the pair (1, 9) still runs its flow and gives the
+        separator {0}."""
+        edges = [(0, 1), (0, 9), (1, 3), (2, 7), (2, 8), (3, 7), (4, 7), (5, 6), (6, 8), (7, 8)]
+        g = gc.Graph.from_edges(10, edges)
+        cert = analysis.vertex_connectivity(g)
+        assert cert == analysis.CutCertificate(1, (0,), (tuple(range(1, 9)), (9,)))
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_flow_count_on_chain(self, monkeypatch):
+        """On a cubic chain (kappa = 2 < d) a found cut settles every sink
+        beyond it: at most 300 flows, where one per non-adjacent pair is
+        1,199."""
+        flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
+        assert analysis.vertex_connectivity(gc.generate_cubic_chain(5)).kappa == 2
+        assert flows[0] <= 300
+
+
+class TestThreeComponentSeparator:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_subset_sweep(self, data):
+        g = hub_graph(data)
+        kappa = oracles.sweep_vertex_connectivity(g)[0]
+        fast = analysis._three_component_separator_exists(g, kappa)
+        assert fast == oracles.brute_three_component_separator(g, kappa)
+
+    def test_known_cases(self):
+        bridge_pair = gc.generate_cubic_bridge_pair()
+        claw = gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert analysis.vertex_connectivity(bridge_pair).kappa == 1
+        for g, expected in ((bridge_pair, False), (claw, True)):
+            assert analysis._three_component_separator_exists(g, 1) is expected
+            assert oracles.brute_three_component_separator(g, 1) is expected
+
+    def test_component_searches_on_ring(self, monkeypatch):
+        """A ring of three C4-free 4-regular blocks has kappa = 2, so the
+        loose-cut bound applies and the three-component check runs; it
+        needs no component search beyond the two of vertex_connectivity."""
+        g = ring_of_blocks([gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)])
+        searches = count_calls(monkeypatch, analysis, "connected_components")
+        rep = analysis.check_hypotheses(g)
+        assert rep.kappa == 2 and rep.loose_cut_bound_applies
+        assert rep.three_component_cut_exists is False
+        assert searches[0] <= 3
 
 
 class TestFiveCycles:

@@ -265,6 +265,40 @@ class TestVerify:
         )
         assert code == 0 and "b_coloring: True" in out
 
+    def test_exact_witness_round_trip(self, monkeypatch, capsys, petersen_file):
+        code, out, _ = run_cli(monkeypatch, capsys, ["exact", "--input", petersen_file])
+        witness = json.dumps(json.loads(out)["witness"])
+        code, out, _ = run_cli(
+            monkeypatch, capsys, ["verify", "--input", petersen_file], witness
+        )
+        assert code == 0 and "b_coloring: True" in out
+
+    def test_palette_it_cannot_honour_exits_one(self, monkeypatch, capsys, petersen_file):
+        """A b-coloring of Petersen under a negative palette, a palette of 0,
+        or with its colors moved outside 1..palette is not a certificate."""
+        witness = [1, 2, 3, 1, 2, 3, 1, 1, 2, 3]
+        for palette, assignment in (
+            (-1, witness),
+            (0, witness),
+            (3, [c + 10 for c in witness]),
+            (3, [-c for c in witness]),
+        ):
+            payload = json.dumps({"palette": palette, "assignment": assignment})
+            code, out, err = run_cli(
+                monkeypatch, capsys, ["verify", "--input", petersen_file], payload
+            )
+            assert code == 1 and out == "" and "1..palette" in err
+        payload = json.dumps({"palette": 3, "assignment": witness})
+        code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--input", petersen_file], payload)
+        assert code == 0 and "b_coloring: True" in out
+
+    def test_empty_graph_palette_zero(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        payload = json.dumps({"palette": 0, "assignment": []})
+        code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--input", str(path)], payload)
+        assert code == 0 and "b_coloring: True" in out
+
     def test_bad_coloring_exits_two(self, monkeypatch, capsys, petersen_file):
         payload = json.dumps({"palette": 4, "assignment": [1] * 10})
         code, out, _ = run_cli(

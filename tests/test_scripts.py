@@ -19,6 +19,17 @@ def test_sweep_lower_bound_runs():
     assert "2 graphs" in done.stdout
 
 
+def test_compare_outputs_finds_no_difference_with_itself():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(ROOT / "src"),
+         "--count", "2"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "102 cases, 0 differ"
+
+
 def test_showcase_try_route_takes_every_route():
     spec = importlib.util.spec_from_file_location("showcase", ROOT / "scripts" / "showcase.py")
     showcase = importlib.util.module_from_spec(spec)
