@@ -1,6 +1,6 @@
 """Compare the command-line output of this tree with another tree's.
 
-Usage: python3 scripts/compare_outputs.py OTHER_SRC [--count N] [--jobs J]
+Usage: python3 scripts/compare_outputs.py OTHER_SRC [--count N]
 
 OTHER_SRC is the `src` directory of another checkout, for example the parent
 commit's. Builds a fixed corpus in-process from graph_core: Petersen,
@@ -19,7 +19,6 @@ import argparse
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from bchromatic import graph_core as gc
@@ -78,7 +77,6 @@ def main() -> int:
     parser.add_argument("other_src", type=Path, help="src directory of the other tree")
     parser.add_argument("--count", type=int, default=5,
                         help="seeds per random kind of graph")
-    parser.add_argument("--jobs", type=int, default=2, help="commands run at once")
     args = parser.parse_args()
 
     cases = [
@@ -87,12 +85,9 @@ def main() -> int:
         for argv in COMMANDS
     ]
 
-    def differs(case: tuple[str, list[str], str]) -> bool:
-        _, argv, text = case
-        return run(OWN_SRC, argv, text) != run(args.other_src.resolve(), argv, text)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        flags = list(pool.map(differs, cases))
+    other_src = args.other_src.resolve()
+    flags = [run(OWN_SRC, argv, text) != run(other_src, argv, text)
+             for _, argv, text in cases]
     for (name, argv, _), bad in zip(cases, flags):
         if bad:
             print(f"differs: {name}: {' '.join(argv)}")

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,12 @@ from hypothesis import strategies as st
 
 from bchromatic import analysis, cli, graph_core as gc
 from tests import oracles
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parent.parent / "scripts" / "compare_outputs.py"
+)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
 
 def random_graph(data, max_n=10):
@@ -97,19 +105,6 @@ def hub_graph(data) -> gc.Graph:
     label = list(range(n))
     rng.shuffle(label)
     return gc.Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
-
-
-def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
-    """Each block less its first edge (a, b), with b joined to the next
-    block's a: regular when the blocks are, and cut by two vertices."""
-    edges, ends, shift = [], [], 0
-    for block in blocks:
-        (a, b), *rest = block.edges()
-        ends.append((a + shift, b + shift))
-        edges += [(u + shift, v + shift) for u, v in rest]
-        shift += block.vertex_count
-    edges += [(ends[i][1], ends[(i + 1) % len(ends)][0]) for i in range(len(ends))]
-    return gc.Graph.from_edges(shift, edges)
 
 
 def count_calls(monkeypatch, module, name: str) -> list[int]:
@@ -367,7 +362,9 @@ class TestThreeComponentSeparator:
         """A ring of three C4-free 4-regular blocks has kappa = 2, so the
         loose-cut bound applies and the three-component check runs; it
         needs no component search beyond the two of vertex_connectivity."""
-        g = ring_of_blocks([gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)])
+        g = compare_outputs.ring_of_blocks(
+            [gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)]
+        )
         searches = count_calls(monkeypatch, analysis, "connected_components")
         rep = analysis.check_hypotheses(g)
         assert rep.kappa == 2 and rep.loose_cut_bound_applies

@@ -299,6 +299,14 @@ class TestVerify:
         code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--input", str(path)], payload)
         assert code == 0 and "b_coloring: True" in out
 
+    def test_empty_graph_negative_palette_exits_one(self, monkeypatch, capsys, tmp_path):
+        """With no vertex to colour, only the sign check rejects the palette."""
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        payload = json.dumps({"palette": -1, "assignment": []})
+        code, out, err = run_cli(monkeypatch, capsys, ["verify", "--input", str(path)], payload)
+        assert code == 1 and out == "" and "1..palette" in err
+
     def test_bad_coloring_exits_two(self, monkeypatch, capsys, petersen_file):
         payload = json.dumps({"palette": 4, "assignment": [1] * 10})
         code, out, _ = run_cli(

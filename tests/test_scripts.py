@@ -27,7 +27,7 @@ def test_compare_outputs_finds_no_difference_with_itself():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "102 cases, 0 differ"
+    assert done.stdout.splitlines()[-1].endswith(" cases, 0 differ")
 
 
 def test_showcase_try_route_takes_every_route():
