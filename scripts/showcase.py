@@ -47,7 +47,8 @@ def main() -> None:
 
     header = (
         f"{'instance':<16} {'n':>3} {'d':>2} {'girth':>5} {'diam':>4} "
-        f"{'kappa':>5} {'bound':>5} {'lower':>5} {'diam.':>5} {'conn.':>5} {'exact':>5}"
+        f"{'kappa':>5} {'bound':>5} {'full':>5} {'lower':>5} {'diam.':>5} {'conn.':>5} "
+        f"{'exact':>5}"
     )
     print(header)
     print("-" * len(header))
@@ -60,6 +61,7 @@ def main() -> None:
         print(
             f"{name:<16} {g.vertex_count:>3} {rep.regular_degree:>2} "
             f"{rep.girth:>5} {diam:>4} {rep.kappa:>5} {rep.lower_bound_colors:>5} "
+            f"{try_route(con.construct_full_seed_bcoloring, g):>5} "
             f"{try_route(con.construct_lower_bound_bcoloring, g):>5} "
             f"{try_route(con.construct_diameter_bcoloring, g):>5} "
             f"{try_route(con.construct_connectivity_bcoloring, g):>5} "

@@ -1,7 +1,7 @@
 """Constructive b-colorings for C4-free regular graphs.
 
 The package bundles an immutable graph core, structural analysis passes,
-a bipartite matcher with Hall-violator certificates, three constructive
+a bipartite matcher with Hall-violator certificates, four constructive
 coloring strategies, an exact b-chromatic oracle, and a command line
 front end.
 """
@@ -12,6 +12,7 @@ from bchromatic.constructive import (
     construct_auto_bcoloring,
     construct_connectivity_bcoloring,
     construct_diameter_bcoloring,
+    construct_full_seed_bcoloring,
     construct_lower_bound_bcoloring,
     verify_bcoloring,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "construct_auto_bcoloring",
     "construct_connectivity_bcoloring",
     "construct_diameter_bcoloring",
+    "construct_full_seed_bcoloring",
     "construct_lower_bound_bcoloring",
     "exact_b_chromatic",
     "parse_edge_list",

@@ -24,6 +24,7 @@ from bchromatic.constructive import (
     construct_auto_bcoloring,
     construct_connectivity_bcoloring,
     construct_diameter_bcoloring,
+    construct_full_seed_bcoloring,
     construct_lower_bound_bcoloring,
     verify_bcoloring,
 )
@@ -42,7 +43,7 @@ from bchromatic.graph_core import (
     serialize_edge_list,
 )
 
-STRATEGIES = ("auto", "lower-bound", "diameter", "connectivity")
+STRATEGIES = ("auto", "full-seed", "lower-bound", "diameter", "connectivity")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,6 +145,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
 
 def _color_with_strategy(g: Graph, args: argparse.Namespace) -> ConstructionOutcome:
+    if args.strategy == "full-seed":
+        return construct_full_seed_bcoloring(g)
     if args.strategy == "lower-bound":
         return construct_lower_bound_bcoloring(g)
     if args.strategy == "diameter":

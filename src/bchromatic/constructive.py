@@ -1,17 +1,19 @@
 """Constructive b-colorings for d-regular C4-free graphs.
 
-Three strategies share one seeding engine. The engine colors a center vertex
+Four strategies share one seeding engine. The engine colors a center vertex
 and its neighborhood so that the center and a prefix of its neighbors become
 color-dominating, walking the second neighborhood ring by ring and placing
-each ring's missing colors through a perfect matching. A color relabeling
-attached to the plan lets two far-apart seedings realize complementary color
-sets, which is how the diameter and small-cut strategies reach all d+1
-colors. The lower-bound strategy instead extends greedily and squeezes out
-unrealized colors by color exchange.
+each ring's missing colors through a perfect matching. The full-seed strategy
+makes every neighbor dominating at one center, which reaches all d+1 colors
+wherever some center's rings all have matchings. A color relabeling attached
+to the plan lets two far-apart seedings realize complementary color sets,
+which is how the diameter and small-cut strategies reach all d+1 colors. The
+lower-bound strategy instead extends greedily and squeezes out unrealized
+colors by color exchange.
 
 Each strategy gates the graph (regular, no 4-cycle) once;
 construct_auto_bcoloring gates once and passes the gated graph, which carries
-its degree, to the three routes in turn.
+its degree, to the four routes in turn.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 from bchromatic import analysis
 from bchromatic.graph_core import Graph
-from bchromatic.matching import BipartiteInstance, HallViolator, Matching, perfect_matching
+from bchromatic.matching import BipartiteInstance, HallViolator, perfect_matching
 
 
 class HypothesisRejection(Exception):
@@ -330,32 +332,28 @@ class ConstructionTrace:
     triangle_mode: bool = False
 
 
-def seed_dominating_neighborhood(
-    g: Graph, plan: SeedPlan, trace: ConstructionTrace | None = None
-) -> PartialColoring:
-    """Color the center, its neighborhood, and the step rings so the center
-    and the first `steps` ordered neighbors all see every color of 1..d+1 on
-    their closed neighborhoods.
+def _seed_rings(
+    g: Graph, center: int, ordered_neighbors: tuple[int, ...], steps: int, bounded: bool
+) -> tuple[dict[int, int], list[SeedStepRecord]] | HallViolator:
+    """The canonical seeding every seeding route shares: the center takes
+    d+1, the j-th ordered neighbor j, and for i = 1..steps the ring of the
+    i-th neighbor v_i (its neighbors outside the center's closed
+    neighborhood) is matched onto the colors v_i does not yet see.
 
-    Works canonically (center d+1, j-th neighbor j) and applies the plan's
-    color_map at the end. Every counting guarantee the inductive argument
-    rests on is asserted at runtime; a failed ring matching raises
-    ConstructionInvariantError carrying the Hall violator.
+    Returns the colors of the seeded vertices with one record per ring, or
+    the Hall violator of the first ring that has no matching. The counting
+    guarantees are asserted at runtime. A bounded seeding (at most the
+    paper's number of steps) also asserts the half-degree condition, which
+    is what makes its matchings exist.
     """
-    d = validate_seed_plan(g, plan)
-    n = g.vertex_count
-    center = plan.center
+    d = len(ordered_neighbors)
     nv = g.neighbor_sets[center]
-    colors: list[int | None] = [None] * n
-    colors[center] = d + 1
-    for idx, u in enumerate(plan.ordered_neighbors):
+    colors = {center: d + 1}
+    for idx, u in enumerate(ordered_neighbors):
         colors[u] = idx + 1
-    if trace is not None:
-        trace.centers.append(center)
-        trace.triangle_mode = trace.triangle_mode or plan.triangle_mode
-
-    for i in range(1, plan.steps + 1):
-        vi = plan.ordered_neighbors[i - 1]
+    records = []
+    for i in range(1, steps + 1):
+        vi = ordered_neighbors[i - 1]
         inside = sorted(g.neighbor_sets[vi] & nv)
         if len(inside) > 1:
             raise ConstructionInvariantError(
@@ -370,7 +368,7 @@ def seed_dominating_neighborhood(
                 f"step {i}: ring size {len(ring)} and needed colors {len(needed)} "
                 f"disagree with degree counting"
             )
-        if any(colors[x] is not None for x in ring):
+        if any(x in colors for x in ring):
             raise ConstructionInvariantError(
                 f"step {i}: ring overlaps an earlier ring; rings must be disjoint"
             )
@@ -378,13 +376,13 @@ def seed_dominating_neighborhood(
         degree_left = {x: 0 for x in ring}
         degree_right = {c: 0 for c in needed}
         for x in ring:
-            present = {colors[y] for y in g.adjacency[x] if colors[y] is not None}
+            present = {colors.get(y) for y in g.adjacency[x]}
             for c in needed:
                 if c not in present:
                     edges.add((x, c))
                     degree_left[x] += 1
                     degree_right[c] += 1
-        if ring:
+        if bounded and ring:
             worst = min(min(degree_left.values()), min(degree_right.values()))
             if 2 * worst < len(ring):
                 raise ConstructionInvariantError(
@@ -395,29 +393,51 @@ def seed_dominating_neighborhood(
             BipartiteInstance(tuple(ring), tuple(needed), frozenset(edges))
         )
         if isinstance(outcome, HallViolator):
-            raise ConstructionInvariantError(
-                f"step {i}: ring has no perfect color matching", hall_violator=outcome
-            )
-        assert isinstance(outcome, Matching)
-        for x, c in sorted(outcome.pairs):
-            colors[x] = c
-        if trace is not None:
-            trace.seed_steps.append(
-                SeedStepRecord(center, i, vi, tuple(ring), tuple(needed),
-                               tuple(sorted(outcome.pairs)))
-            )
+            return outcome
+        placed = tuple(sorted(outcome.pairs))
+        colors.update(placed)
+        records.append(SeedStepRecord(center, i, vi, tuple(ring), tuple(needed), placed))
+    return colors, records
+
+
+def seed_dominating_neighborhood(
+    g: Graph, plan: SeedPlan, trace: ConstructionTrace | None = None
+) -> PartialColoring:
+    """Color the center, its neighborhood, and the step rings so the center
+    and the first `steps` ordered neighbors all see every color of 1..d+1 on
+    their closed neighborhoods.
+
+    Works canonically (center d+1, j-th neighbor j; see _seed_rings) and
+    applies the plan's color_map at the end. Every counting guarantee the
+    inductive argument rests on is asserted at runtime; a failed ring
+    matching raises ConstructionInvariantError carrying the Hall violator.
+    """
+    d = validate_seed_plan(g, plan)
+    center = plan.center
+    seeded = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, bounded=True)
+    if isinstance(seeded, HallViolator):
+        raise ConstructionInvariantError(
+            "a ring has no perfect color matching", hall_violator=seeded
+        )
+    colors, records = seeded
+    if trace is not None:
+        trace.centers.append(center)
+        trace.triangle_mode = trace.triangle_mode or plan.triangle_mode
+        trace.seed_steps.extend(records)
 
     full = set(range(1, d + 2))
     for w in (center, *plan.ordered_neighbors[: plan.steps]):
-        closed = {colors[w]} | {colors[y] for y in g.adjacency[w]}
+        closed = {colors[w]} | {colors.get(y) for y in g.adjacency[w]}
         if closed != full:
             raise ConstructionInvariantError(
                 f"vertex {w} sees {sorted(c for c in closed if c is not None)} "
                 f"instead of all of 1..{d + 1} on its closed neighborhood"
             )
 
-    mapped = tuple(None if c is None else plan.color_map[c - 1] for c in colors)
-    result = PartialColoring(d + 1, mapped)
+    mapped: list[int | None] = [None] * g.vertex_count
+    for v, c in colors.items():
+        mapped[v] = plan.color_map[c - 1]
+    result = PartialColoring(d + 1, tuple(mapped))
     validate_partial_coloring(g, result)
     return result
 
@@ -522,8 +542,8 @@ class ConstructionOutcome:
     """A verified b-coloring plus how it was obtained.
 
     guaranteed_colors is what the strategy promises for its hypothesis class;
-    the coloring may use more. Strategy is one of "lower-bound", "diameter",
-    "connectivity", "small-case".
+    the coloring may use more. Strategy is one of "full-seed", "lower-bound",
+    "diameter", "connectivity", "small-case".
     """
 
     coloring: Coloring
@@ -798,24 +818,88 @@ def construct_connectivity_bcoloring(
     return _two_center_finish(g, d, "connectivity", (plans[0], plans[1]), trace)
 
 
+def _full_seed_at(
+    g: Graph, d: int, center: int, trace: ConstructionTrace | None
+) -> ConstructionOutcome | HallViolator:
+    # the full seeding at one center, extended and verified, or the Hall
+    # violator of the ring that rejects this center
+    seeded = _seed_rings(g, center, g.adjacency[center], d, bounded=False)
+    if isinstance(seeded, HallViolator):
+        return seeded
+    colors, records = seeded
+    partial = PartialColoring(d + 1, tuple(map(colors.get, range(g.vertex_count))))
+    total = greedy_extend(g, partial, sources=(center,))
+    report = verify_bcoloring(g, total)
+    if not report.is_b_coloring or len(report.used_colors) != d + 1:
+        raise ConstructionInvariantError(
+            f"full seeding at {center} did not reach a {d + 1}-color b-coloring"
+        )
+    if trace is not None:
+        trace.centers.append(center)
+        trace.seed_steps.extend(records)
+    return ConstructionOutcome(total, "full-seed", d + 1, (), False, report)
+
+
+def construct_full_seed_bcoloring(
+    g: Graph, trace: ConstructionTrace | None = None
+) -> ConstructionOutcome:
+    """B-coloring with exactly d+1 colors from one fully seeded center.
+
+    Tries the centers in ascending order. At each it colors the center d+1
+    and its neighbors 1..d, gives the ring of every neighbor a matching onto
+    the colors that neighbor still misses (no half-degree bound: past the
+    paper's steps a ring may have no matching, and its Hall violator rejects
+    only that center), and extends greedily over d+1 colors. The center and
+    its d neighbors then see all d+1 colors on fully colored closed
+    neighborhoods; greedy extension never recolors them and never needs a
+    color above d+1, so the result is a b-coloring with d+1 colors, the most
+    any d-regular graph has. Raises HypothesisRejection when no center works.
+
+    Every vertex v through which no 5-cycle passes is a center. An edge
+    between the rings of two neighbors x_i and x_j would close the 5-cycle
+    v x_i a b x_j, and a ring vertex of x_i adjacent to another neighbor
+    x_j would close the 4-cycle v x_i a x_j. So the only colored neighbors
+    of a ring vertex of x_i are x_i and that same ring, and any bijection of
+    each ring onto its needed colors is proper. In particular every vertex
+    of a graph of girth at least 6 is a center.
+    """
+    d = _gate_regular_c4_free(g)
+    if d <= 2:
+        return _finish_small_case(g, d)
+    violator = None
+    for center in range(g.vertex_count):
+        found = _full_seed_at(g, d, center, trace)
+        if isinstance(found, ConstructionOutcome):
+            return found
+        violator = found
+    assert violator is not None
+    raise HypothesisRejection(
+        f"no center's rings all have color matchings: {g.vertex_count} centers tried, "
+        f"the last ring's Hall violator of size {len(violator.left_subset)} can take "
+        f"{len(violator.neighborhood)} colors"
+    )
+
+
 def construct_auto_bcoloring(
     g: Graph, trace: ConstructionTrace | None = None
 ) -> ConstructionOutcome:
-    """The first route that applies: connectivity, then diameter, then the
-    lower bound, which applies to every graph that passes the gate.
+    """The first route that applies: full seeding, connectivity, diameter,
+    then the lower bound, which applies to every graph that passes the gate.
 
     Gates regularity and C4-freeness once and hands the routes the gated
     graph, whose degree their own gates read back. A route whose hypothesis
-    fails falls through to the next.
+    fails falls through to the next. The full seeding goes first because it
+    costs O(d^2) plus a matching per center and needs neither the vertex
+    connectivity nor the diameter.
     """
     gated = _GatedGraph(g.vertex_count, g.adjacency, _gate_regular_c4_free(g))
-    try:
-        return construct_connectivity_bcoloring(gated, trace)
-    except HypothesisRejection:
-        pass
-    try:
-        return construct_diameter_bcoloring(gated, trace)
-    except HypothesisRejection:
-        pass
+    for route in (
+        construct_full_seed_bcoloring,
+        construct_connectivity_bcoloring,
+        construct_diameter_bcoloring,
+    ):
+        try:
+            return route(gated, trace)
+        except HypothesisRejection:
+            pass
     return construct_lower_bound_bcoloring(gated, trace)
-

@@ -152,26 +152,41 @@ class TestColor:
         for color, vertex in cert["dominating"].items():
             assert cert["assignment"][vertex] == int(color)
 
-    def test_auto_prefers_connectivity(self, monkeypatch, capsys, chain_file):
+    def test_auto_prefers_full_seed(self, monkeypatch, capsys, chain_file):
         code, out, _ = run_cli(monkeypatch, capsys, ["color", "--input", chain_file])
-        assert code == 0 and json.loads(out)["strategy"] == "connectivity"
+        cert = json.loads(out)
+        assert code == 0 and cert["strategy"] == "full-seed"
+        assert cert["palette"] == 4 and sorted(cert["dominating"]) == ["1", "2", "3", "4"]
 
     def test_explicit_strategies(self, monkeypatch, capsys, chain_file):
-        for strategy in ("lower-bound", "diameter", "connectivity"):
+        for strategy in ("full-seed", "lower-bound", "diameter", "connectivity"):
             code, out, _ = run_cli(
                 monkeypatch, capsys,
                 ["color", "--input", chain_file, "--strategy", strategy],
             )
             assert code == 0, strategy
-            assert json.loads(out)["strategy"] == strategy
+            cert = json.loads(out)
+            assert cert["strategy"] == strategy
+            if strategy == "full-seed":
+                assert len(set(cert["assignment"])) == 4
 
     def test_hypothesis_rejection_exits_two(self, monkeypatch, capsys, petersen_file):
-        for strategy in ("diameter", "connectivity"):
+        for strategy in ("full-seed", "diameter", "connectivity"):
             code, _, err = run_cli(
                 monkeypatch, capsys,
                 ["color", "--input", petersen_file, "--strategy", strategy],
             )
             assert code == 2, (strategy, err)
+            if strategy == "full-seed":
+                assert "10 centers tried" in err and "Hall violator of size 1" in err
+
+    def test_heawood_reaches_the_exact_value(self, monkeypatch, capsys, tmp_path):
+        g = gc.generate_heawood()
+        path = tmp_path / "heawood.txt"
+        path.write_text(gc.serialize_edge_list(g))
+        code, out, _ = run_cli(monkeypatch, capsys, ["color", "--input", str(path)])
+        assert code == 0
+        assert len(set(json.loads(out)["assignment"])) == 4 == exact_oracle.exact_b_chromatic(g).phi
 
     def test_c4_graph_exits_two(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "k33.txt"

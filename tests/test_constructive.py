@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bchromatic import analysis, constructive as con, graph_core as gc
+from bchromatic import analysis, constructive as con, exact_oracle as eo, graph_core as gc
+from bchromatic.matching import HallViolator
 
 
 def assert_outcome_ok(g, outcome, exact_colors=None, min_colors=None):
@@ -158,6 +159,22 @@ class TestSeeding:
         with pytest.raises((con.ConstructionInvariantError, ValueError)):
             con.seed_dominating_neighborhood(g, plan)
 
+    def test_half_degree_assertion_only_in_bounded_seedings(self):
+        # 4-regular, with 4-cycles away from vertex 0 only: both rings of a
+        # 2-step seeding at 0 have matchings, but one availability degree is
+        # below half the ring
+        g = gc.Graph.from_edges(16, [
+            (0, 2), (0, 11), (0, 12), (0, 14), (1, 6), (1, 8), (1, 9), (1, 10),
+            (2, 5), (2, 13), (2, 15), (3, 4), (3, 11), (3, 13), (3, 15), (4, 7),
+            (4, 14), (4, 15), (5, 6), (5, 7), (5, 10), (6, 7), (6, 14), (7, 12),
+            (8, 9), (8, 11), (8, 15), (9, 12), (9, 13), (10, 11), (10, 13), (12, 14),
+        ])
+        plan = con.plan_seed(g, 0, 2)
+        with pytest.raises(con.ConstructionInvariantError, match="below half"):
+            con.seed_dominating_neighborhood(g, plan)
+        _, records = con._seed_rings(g, 0, plan.ordered_neighbors, 2, bounded=False)
+        assert len(records) == 2
+
     def test_trace_records_steps(self, petersen):
         trace = con.ConstructionTrace()
         plan = con.plan_seed(petersen, 0, 2)
@@ -264,6 +281,121 @@ class TestLowerBoundStrategy:
         a = con.construct_lower_bound_bcoloring(petersen)
         b = con.construct_lower_bound_bcoloring(petersen)
         assert a.coloring == b.coloring
+
+
+def levi_graph(q):
+    """Point-line incidence graph of the projective plane PG(2, q), q prime:
+    points and lines are the normalized nonzero vectors of GF(q)^3, and a
+    point lies on a line when their dot product is 0. (q+1)-regular, girth 6,
+    2(q^2 + q + 1) vertices."""
+    vectors = (
+        [(1, a, b) for a in range(q) for b in range(q)]
+        + [(0, 1, b) for b in range(q)]
+        + [(0, 0, 1)]
+    )
+    m = len(vectors)
+    return gc.Graph.from_edges(2 * m, [
+        (i, m + j)
+        for i, p in enumerate(vectors)
+        for j, line in enumerate(vectors)
+        if sum(x * y for x, y in zip(p, line)) % q == 0
+    ])
+
+
+GIRTH_SIX = [gc.generate_heawood()] + [levi_graph(q) for q in (2, 3, 5)]
+GIRTH_SIX_IDS = ["heawood", "levi2", "levi3", "levi5"]
+
+
+class TestFullSeedStrategy:
+    def test_petersen_rejects_each_center_by_a_hall_violator(self, petersen):
+        for center in range(petersen.vertex_count):
+            assert isinstance(con._full_seed_at(petersen, 3, center, None), HallViolator)
+        with pytest.raises(con.HypothesisRejection, match="10 centers tried"):
+            con.construct_full_seed_bcoloring(petersen)
+
+    @pytest.mark.parametrize("g", GIRTH_SIX, ids=GIRTH_SIX_IDS)
+    def test_girth_six_every_vertex_is_a_center(self, g):
+        d = analysis.is_regular(g)
+        assert analysis.girth(g) == 6
+        for center in range(g.vertex_count):
+            out = con._full_seed_at(g, d, center, None)
+            assert isinstance(out, con.ConstructionOutcome), center
+            assert_outcome_ok(g, out, exact_colors=d + 1)
+
+    def test_trace_holds_the_center_and_no_plan(self):
+        g = gc.generate_cubic_chain(3)
+        trace = con.ConstructionTrace()
+        out = con.construct_full_seed_bcoloring(g, trace=trace)
+        assert out.strategy == "full-seed" and out.plans == () and out.guaranteed_colors == 4
+        assert trace.centers == [0] and len(trace.seed_steps) == 3
+        assert [rec.step_vertex for rec in trace.seed_steps] == list(g.adjacency[0])
+        assert_outcome_ok(g, out, exact_colors=4)
+
+    def test_later_center_after_rejections(self, petersen, heawood):
+        g = gc.disjoint_union(petersen, heawood)
+        trace = con.ConstructionTrace()
+        out = con.construct_full_seed_bcoloring(g, trace=trace)
+        assert trace.centers == [10]
+        assert_outcome_ok(g, out, exact_colors=4)
+
+    def test_small_cases(self):
+        out = con.construct_full_seed_bcoloring(gc.generate_cycle(7))
+        assert out.strategy == "small-case"
+        assert_outcome_ok(gc.generate_cycle(7), out, exact_colors=3)
+
+    def test_rejections(self):
+        with pytest.raises(con.HypothesisRejection):
+            con.construct_full_seed_bcoloring(gc.Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(con.HypothesisRejection):
+            con.construct_full_seed_bcoloring(gc.generate_complete_bipartite(3))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000), d=st.sampled_from([3, 4, 5]))
+    def test_random_graphs_reach_d_plus_one_or_reject(self, seed, d):
+        g = gc.generate_random_c4_free_regular(d, {3: 16, 4: 24, 5: 32}[d], seed)
+        try:
+            out = con.construct_full_seed_bcoloring(g)
+        except con.HypothesisRejection:
+            return
+        assert_outcome_ok(g, out, exact_colors=d + 1)
+
+
+# three sizes a little above the d^2 - d + 1 floor for each degree: the
+# smallest with n*d even at which the generator succeeds on seeds 0-2
+NEAR_FLOOR_SIZES = {3: (10, 12, 14), 4: (16, 18, 20), 5: (28, 30, 32), 6: (46, 48, 50)}
+
+
+class TestAutoReachesTheReportedBound:
+    """Auto emits at least the analysis' phi_lower_bound, and where the
+    exhaustive search runs (n <= 24) exactly phi."""
+
+    def check(self, g):
+        rep = analysis.check_hypotheses(g)
+        if not rep.lower_bound_applies:
+            with pytest.raises(con.HypothesisRejection):
+                con.construct_auto_bcoloring(g)
+            return
+        out = con.construct_auto_bcoloring(g)
+        used = len(out.report.used_colors)
+        assert out.report.is_b_coloring
+        assert used >= rep.phi_lower_bound, (out.strategy, used, rep.phi_lower_bound)
+        if g.vertex_count <= eo.DEFAULT_VERTEX_CEILING:
+            assert used == eo.exact_b_chromatic(g).phi, out.strategy
+
+    def test_corpus(self, small_corpus):
+        for _, g in small_corpus:
+            self.check(g)
+
+    @pytest.mark.parametrize("g", GIRTH_SIX, ids=GIRTH_SIX_IDS)
+    def test_girth_six(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d, sizes in NEAR_FLOOR_SIZES.items() for n in sizes]
+    )
+    def test_random_near_floor(self, d, n):
+        for seed in range(3):
+            self.check(gc.generate_random_c4_free_regular(d, n, seed))
 
 
 class TestDiameterStrategy:

@@ -38,6 +38,7 @@ def test_showcase_try_route_takes_every_route():
     results = {
         fn.__name__: showcase.try_route(fn, g)
         for fn in (
+            con.construct_full_seed_bcoloring,
             con.construct_lower_bound_bcoloring,
             con.construct_diameter_bcoloring,
             con.construct_connectivity_bcoloring,
@@ -45,6 +46,7 @@ def test_showcase_try_route_takes_every_route():
         )
     }
     assert results == {
+        "construct_full_seed_bcoloring": "4",
         "construct_lower_bound_bcoloring": "3",
         "construct_diameter_bcoloring": "-",
         "construct_connectivity_bcoloring": "4",
