@@ -6,16 +6,23 @@ OTHER_SRC is the `src` directory of another checkout, for example the parent
 commit's. Builds a fixed corpus in-process from graph_core: Petersen,
 Heawood, cubic chains of 2-5 beads, the bridge pair, generalized Petersen
 graphs, N graphs random:d,n for each d = 3-5, and N rings of three random
-C4-free 4-regular blocks. Feeds each graph's edge-list text to both trees
-through `python -m bchromatic.cli`: `color` with every strategy (auto
-included) and `analyze` with text and JSON output. A case differs when the
-exit code, stdout or stderr differ. Prints each differing case and their
+C4-free 4-regular blocks. Each graph's edge-list text is the stdin of
+`color` with every strategy (auto included) and of `analyze` with text and
+JSON output. `generate --input random:d,n --seed s` runs for the same N
+seeds at each size of RANDOM_SIZES and at random:3,2000.
+
+Each tree runs all the cases in one child interpreter, started with the
+tree's `src` first on the path. The child calls `bchromatic.cli.main(argv)`
+once per case, with stdin, stdout and stderr of its own, and turns a
+`SystemExit` into its exit code. A case differs when the exit code, stdout
+or stderr differ between the trees. Prints each differing case and their
 number, and exits 1 if there is any.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -63,13 +70,34 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     return graphs
 
 
-def run(src: Path, argv: list[str], text: str) -> tuple[int, str, str]:
+# run in the child: read [argv, stdin] pairs, print [exit code, stdout, stderr] triples
+CHILD = """
+import io, json, sys
+from bchromatic.cli import main
+
+results = []
+for argv, text in json.load(sys.stdin):
+    out, err = sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
+    results.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
+    sys.stdout, sys.stderr = out, err
+json.dump(results, sys.stdout)
+"""
+
+
+def run_all(src: Path, cases: list[tuple[list[str], str]]) -> list[list]:
+    """[exit code, stdout, stderr] of each (argv, stdin text) case, run in one
+    child interpreter on the tree whose `src` directory is given."""
     done = subprocess.run(
-        [sys.executable, "-m", "bchromatic.cli", *argv, "--input", "-"],
-        input=text, capture_output=True, text=True, cwd=src,
-        env=dict(os.environ, PYTHONPATH=str(src)), timeout=600,
+        [sys.executable, "-c", CHILD], input=json.dumps(cases),
+        capture_output=True, text=True, cwd=src,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=1800, check=True,
     )
-    return done.returncode, done.stdout, done.stderr
+    return json.loads(done.stdout)
 
 
 def main() -> int:
@@ -80,14 +108,20 @@ def main() -> int:
     args = parser.parse_args()
 
     cases = [
-        (name, argv, gc.serialize_edge_list(g))
+        (name, [*argv, "--input", "-"], gc.serialize_edge_list(g))
         for name, g in corpus(args.count).items()
         for argv in COMMANDS
     ]
+    cases += [
+        (f"random:{d},{n}/{seed}",
+         ["generate", "--input", f"random:{d},{n}", "--seed", str(seed)], "")
+        for d, n in [*RANDOM_SIZES.items(), (3, 2000)]
+        for seed in range(args.count)
+    ]
 
-    other_src = args.other_src.resolve()
-    flags = [run(OWN_SRC, argv, text) != run(other_src, argv, text)
-             for _, argv, text in cases]
+    runs = [(argv, text) for _, argv, text in cases]
+    ours, theirs = run_all(OWN_SRC, runs), run_all(args.other_src.resolve(), runs)
+    flags = [a != b for a, b in zip(ours, theirs)]
     for (name, argv, _), bad in zip(cases, flags):
         if bad:
             print(f"differs: {name}: {' '.join(argv)}")

@@ -59,11 +59,6 @@ class PartialColoring:
     def used_colors(self) -> tuple[int, ...]:
         return tuple(sorted({c for c in self.assignment if c is not None}))
 
-    def to_coloring(self) -> "Coloring":
-        if any(c is None for c in self.assignment):
-            raise ValueError("partial coloring is not total")
-        return Coloring(self.palette_size, tuple(c for c in self.assignment if c is not None))
-
 
 @dataclass(frozen=True)
 class Coloring:

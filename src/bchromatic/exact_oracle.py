@@ -25,7 +25,8 @@ its current legal set too. So a vertex or a missing color with no legal
 place at a node has none below it. The checks cut only subtrees without a
 b-coloring and the branching order does not depend on them, so the witness
 found is the one an unpruned search finds first; only `explored`, the color
-assignments tried, shrinks. Inputs above a vertex ceiling are refused.
+assignments tried, shrinks. Inputs above a vertex ceiling are refused, and a
+search that tries more than _SEARCH_NODE_BUDGET assignments gives up.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from bchromatic.constructive import Coloring, VerificationReport, verify_bcolori
 from bchromatic.graph_core import CeilingExceeded, Graph
 
 DEFAULT_VERTEX_CEILING = 24
+
+# color assignments (`explored`) one call may try before it raises
+# CeilingExceeded: over 100 times the most (81) that any test graph or
+# benchmark graph needs
+_SEARCH_NODE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -48,8 +54,9 @@ class OracleResult:
     report: VerificationReport
 
 
-def _search(g: Graph, k: int) -> tuple[OracleResult | None, int]:
-    """Find a b-coloring with exactly k colors, counting assignments tried."""
+def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
+    """Find a b-coloring with exactly k colors, counting assignments tried;
+    raise CeilingExceeded past `budget` of them."""
     n = g.vertex_count
     adj = g.adjacency
     candidates = [v for v in range(n) if g.degree(v) >= k - 1]
@@ -108,6 +115,10 @@ def _search(g: Graph, k: int) -> tuple[OracleResult | None, int]:
             bit = legal & -legal
             legal ^= bit
             explored += 1
+            if explored > budget:
+                raise CeilingExceeded(
+                    f"the search tried more than {_SEARCH_NODE_BUDGET} color assignments"
+                )
             if assign(v, bit.bit_length() - 1):
                 node = scan()
                 if node is not None and color(*node):
@@ -154,7 +165,8 @@ def exists_bcoloring_with_k(
     """A verified b-coloring using exactly k colors, or None if impossible.
 
     Raises CeilingExceeded when the graph has more than `ceiling` vertices
-    and ValueError when k is outside 1..max_degree+1.
+    or the search passes _SEARCH_NODE_BUDGET, and ValueError when k is
+    outside 1..max_degree+1.
     """
     if g.vertex_count > ceiling:
         raise CeilingExceeded(
@@ -162,7 +174,7 @@ def exists_bcoloring_with_k(
         )
     if not 1 <= k <= g.max_degree() + 1:
         raise ValueError(f"k must lie in 1..{g.max_degree() + 1}")
-    found, _ = _search(g, k)
+    found, _ = _search(g, k, _SEARCH_NODE_BUDGET)
     return None if found is None else found.witness
 
 
@@ -173,7 +185,8 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
     Downward scanning needs no monotonicity: the first k that succeeds is
     the maximum. The scan always lands somewhere at or above the chromatic
     number, because exchanging away an unrealizable color turns any proper
-    coloring into one with fewer colors.
+    coloring into one with fewer colors. _SEARCH_NODE_BUDGET bounds the
+    assignments of the whole scan, and CeilingExceeded reports a pass.
     """
     if g.vertex_count == 0:
         empty = Coloring(0, ())
@@ -184,7 +197,7 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
         )
     explored = 0
     for k in range(g.max_degree() + 1, 0, -1):
-        found, tried = _search(g, k)
+        found, tried = _search(g, k, _SEARCH_NODE_BUDGET - explored)
         explored += tried
         if found is not None:
             return replace(found, explored=explored)

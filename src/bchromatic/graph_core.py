@@ -374,25 +374,38 @@ def _common_counts(adj: list[set[int]]) -> dict[int, int]:
     return counts
 
 
+def _below(bits, n: int) -> int:
+    """`rng.randrange(n)` for n ≥ 1, given `bits = rng.getrandbits`: the same
+    value and generator state, drawn as `Random._randbelow_with_getrandbits`
+    draws it (n.bit_length() bits, redrawn while ≥ n), with no argument checks."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 class _SwapState:
     """Mutable graph under degree-preserving edge switches. `switch` touches
-    only the adjacency sets and the edge list, so the score-blind shuffle
-    pays for nothing else. `count` then builds, once, the sparse counts of
-    `_common_counts`, the score Σ C(c, 2) over them (zero iff C4-free) and
-    the pairs with c ≥ 2; `try_swap` scores each proposal from the counts
-    and updates them only when it accepts."""
+    only the adjacency sets and the two edge-list slots it is given, so the
+    score-blind shuffle pays for nothing else. `count` then builds, once, the
+    edge index (slot of each edge), the sparse counts of `_common_counts`, the
+    score Σ C(c, 2) over them (zero iff C4-free) and the pairs with c ≥ 2;
+    `try_swap` scores each proposal from the counts and updates them and the
+    index only when it accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
         self.adj = adj
         self.edge_list = [(u, v) for u in range(self.n) for v in adj[u] if u < v]
-        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
+        self.edge_index: dict[tuple[int, int], int] = {}
         self.counts: dict[int, int] = {}
         self.score = 0
         self.bad_pairs: list[int] = []
         self.bad_index: dict[int, int] = {}
 
     def count(self) -> None:
+        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
         self.counts = _common_counts(self.adj)
         self.score = sum(c * (c - 1) // 2 for c in self.counts.values())
         self.bad_pairs = [key for key, c in self.counts.items() if c >= 2]
@@ -400,27 +413,26 @@ class _SwapState:
 
     def legal(self, a: int, b: int, c: int, d: int) -> bool:
         """Whether (a,b),(c,d) may become (a,c),(b,d): no repeated vertex, no new edge present."""
-        return len({a, b, c, d}) == 4 and c not in self.adj[a] and d not in self.adj[b]
+        return (a != c and a != d and b != c and b != d
+                and c not in self.adj[a] and d not in self.adj[b])
 
-    def switch(self, a: int, b: int, c: int, d: int) -> None:
-        """Replace the edges (a,b),(c,d) by (a,c),(b,d); the move must be legal."""
+    def switch(self, a: int, b: int, c: int, d: int, i: int, j: int) -> None:
+        """Replace the edges (a,b), in edge-list slot i, and (c,d), in slot j,
+        by (a,c) in slot i and (b,d) in slot j; the move must be legal. The
+        edge index is left to the caller."""
         adj = self.adj
-        adj[a].remove(b)
-        adj[b].remove(a)
-        adj[c].remove(d)
-        adj[d].remove(c)
-        adj[a].add(c)
-        adj[c].add(a)
-        adj[b].add(d)
-        adj[d].add(b)
-        # each new edge takes the list slot of the old edge it replaces
-        index, edges = self.edge_index, self.edge_list
-        i = index.pop((a, b) if a < b else (b, a))
-        j = index.pop((c, d) if c < d else (d, c))
-        edges[i] = e = (a, c) if a < c else (c, a)
-        index[e] = i
-        edges[j] = e = (b, d) if b < d else (d, b)
-        index[e] = j
+        na, nb, nc, nd = adj[a], adj[b], adj[c], adj[d]
+        na.remove(b)
+        nb.remove(a)
+        nc.remove(d)
+        nd.remove(c)
+        na.add(c)
+        nc.add(a)
+        nb.add(d)
+        nd.add(b)
+        edges = self.edge_list
+        edges[i] = (a, c) if a < c else (c, a)
+        edges[j] = (b, d) if b < d else (d, b)
 
     def pair_changes(self, a: int, b: int, c: int, d: int) -> dict[int, int]:
         """Net change of each pair's count under the legal switch (a,b),(c,d)
@@ -428,21 +440,25 @@ class _SwapState:
         are disjoint). For (x, old, new) in (a,b,c), (b,a,d), (c,d,a), (d,c,b),
         x-old becomes x-new, and each other neighbour w of x moves one 2-path
         from the pair {w, old} to {w, new}; legality keeps new out of N(x)."""
-        n = self.n
+        n, adj = self.n, self.adj
         changes: dict[int, int] = {}
+        get = changes.get
         for x, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
-            for w in self.adj[x]:
+            for w in adj[x]:
                 if w != old:
                     key = w * n + old if w < old else old * n + w
-                    changes[key] = changes.get(key, 0) - 1
+                    changes[key] = get(key, 0) - 1
                     key = w * n + new if w < new else new * n + w
-                    changes[key] = changes.get(key, 0) + 1
+                    changes[key] = get(key, 0) + 1
         return changes
 
     def score_change(self, changes: dict[int, int]) -> int:
         # C(c + δ, 2) - C(c, 2) = δ·c + C(δ, 2) for each changed pair
-        counts = self.counts
-        return sum(dv * counts.get(key, 0) + dv * (dv - 1) // 2 for key, dv in changes.items())
+        get = self.counts.get
+        total = 0
+        for key, dv in changes.items():
+            total += dv * get(key, 0) + dv * (dv - 1) // 2
+        return total
 
     def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
         """Switch (a,b),(c,d) to (a,c),(b,d) if legal and the score does not get
@@ -453,54 +469,83 @@ class _SwapState:
         change = self.score_change(changes)
         if change > 0 or (change == 0 and not keep_equal):
             return False
-        self.switch(a, b, c, d)
-        counts, bad_index = self.counts, self.bad_index
+        index, edges = self.edge_index, self.edge_list
+        i = index.pop((a, b) if a < b else (b, a))
+        j = index.pop((c, d) if c < d else (d, c))
+        self.switch(a, b, c, d, i, j)
+        index[edges[i]] = i
+        index[edges[j]] = j
+        counts, bad_index, bad_pairs = self.counts, self.bad_index, self.bad_pairs
         for key, dv in changes.items():
             now = counts.get(key, 0) + dv
             if now:
                 counts[key] = now
             else:
                 counts.pop(key, None)
-            if now >= 2 and key not in bad_index:
-                bad_index[key] = len(self.bad_pairs)
-                self.bad_pairs.append(key)
-            elif now < 2 and key in bad_index:
+            if now >= 2:
+                if key not in bad_index:
+                    bad_index[key] = len(bad_pairs)
+                    bad_pairs.append(key)
+            elif key in bad_index:
                 pos = bad_index.pop(key)
-                last = self.bad_pairs.pop()
+                last = bad_pairs.pop()
                 if last != key:
-                    self.bad_pairs[pos] = last
+                    bad_pairs[pos] = last
                     bad_index[last] = pos
         self.score += change
         return True
 
 
 def _randomize(state: _SwapState, rng: random.Random, swaps: int) -> None:
-    # plain degree-preserving shuffle, ignores the C4 score
-    edges = state.edge_list
+    """Score-blind degree-preserving shuffle: `swaps` times, draw two edge-list
+    slots and a coin that reverses the second edge, and switch when legal. The
+    draws are the ones `rng.randrange(m)` twice and `rng.random()` made, with
+    `_below` written out for the fixed m. Keeps no edge index; `count` builds it."""
+    edges, adj = state.edge_list, state.adj
+    switch = state.switch
+    bits, coin = rng.getrandbits, rng.random
     m = len(edges)
+    k = m.bit_length()
     for _ in range(swaps):
-        a, b = edges[rng.randrange(m)]
-        e2 = edges[rng.randrange(m)]
-        c, d = e2 if rng.random() < 0.5 else (e2[1], e2[0])
-        if state.legal(a, b, c, d):
-            state.switch(a, b, c, d)
+        i = bits(k)
+        while i >= m:
+            i = bits(k)
+        j = bits(k)
+        while j >= m:
+            j = bits(k)
+        a, b = edges[i]
+        c, d = edges[j]
+        if coin() >= 0.5:
+            c, d = d, c
+        # state.legal, written out: calling it costs a third of the shuffle
+        if (a != c and a != d and b != c and b != d
+                and c not in adj[a] and d not in adj[b]):
+            switch(a, b, c, d, i, j)
 
 
 def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
+    """Downhill walk on the 4-cycle score: pick a bad pair, a shared neighbour
+    and one edge of that 4-cycle, and propose switching it with a uniform edge.
+    Each draw is the one `rng.randrange` or `rng.random()` made, through
+    `_below` over `rng.getrandbits`."""
+    bits, coin = rng.getrandbits, rng.random
+    adj, edges, bad_pairs, n = state.adj, state.edge_list, state.bad_pairs, state.n
+    m = len(edges)
+    try_swap = state.try_swap
     for _ in range(attempts):
         if state.score == 0:
             return True
-        u, v = divmod(state.bad_pairs[rng.randrange(len(state.bad_pairs))], state.n)
-        shared = sorted(state.adj[u] & state.adj[v])
-        x = shared[rng.randrange(len(shared))]
+        u, v = divmod(bad_pairs[_below(bits, len(bad_pairs))], n)
+        shared = sorted(adj[u] & adj[v])
+        x = shared[_below(bits, len(shared))]
         # one edge of a 4-cycle through (u, x, v)
-        a, b = (u, x) if rng.random() < 0.5 else (x, v)
-        if rng.random() < 0.5:
+        a, b = (u, x) if coin() < 0.5 else (x, v)
+        if coin() < 0.5:
             a, b = b, a
-        c, d = state.edge_list[rng.randrange(len(state.edge_list))]
-        if rng.random() < 0.5:
+        c, d = edges[_below(bits, m)]
+        if coin() < 0.5:
             c, d = d, c
-        state.try_swap(a, b, c, d, keep_equal=rng.random() < 0.25)
+        try_swap(a, b, c, d, keep_equal=coin() < 0.25)
     return state.score == 0
 
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
+import itertools
 import json
+import random
 import sys
 from dataclasses import fields
 
@@ -237,6 +239,18 @@ class TestExact:
             ["exact", "--input", chain_file, "--oracle-ceiling", "30"],
         )
         assert code == 0 and json.loads(out)["phi"] == 4
+
+    def test_node_budget_exits_two(self, monkeypatch, capsys):
+        # the eleventh G(24, 1/2) drawn from one random.Random(3): φ = 10, and
+        # an unbudgeted search tries 187,048 assignments in about 12 s
+        rng = random.Random(3)
+        pairs = list(itertools.combinations(range(24), 2))
+        for _ in range(11):
+            edges = [p for p in pairs if rng.random() < 0.5]
+        text = gc.serialize_edge_list(gc.Graph.from_edges(24, edges))
+        code, out, err = run_cli(monkeypatch, capsys, ["exact", "--input", "-"], text)
+        assert code == 2 and out == ""
+        assert f"more than {exact_oracle._SEARCH_NODE_BUDGET} color assignments" in err
 
     def test_complete_bipartite_refuted_by_witness_support(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "k77.txt"
