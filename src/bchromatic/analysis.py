@@ -6,7 +6,7 @@ and the combined hypothesis report that gates the coloring strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 from collections import deque
 
@@ -18,6 +18,10 @@ FIVE_CYCLE_VERTEX_CEILING = 200
 # three-component separator sweep gives up (reports unknown) beyond this many
 # candidate subsets
 _SEPARATOR_SWEEP_BUDGET = 250_000
+
+# sources per bit-parallel BFS batch in diameter; each of its two lists of
+# masks takes about n * _BFS_BATCH / 8 bytes
+_BFS_BATCH = 4096
 
 
 def is_regular(g: Graph) -> int | None:
@@ -133,6 +137,15 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
 
     Disconnected graphs give (inf, cross-component pair); graphs with fewer
     than two vertices give (0, None).
+
+    A bit-parallel BFS from _BFS_BATCH sources at a time (Then et al., "The
+    More the Merrier", VLDB 2014): reach[v] holds one bit per source of the
+    batch, set once the source is within the current radius of v, and each
+    round ORs into it the masks of v's neighbours. A source's eccentricity is
+    the last round in which its bit spread. The smallest s of largest
+    eccentricity D begins the smallest witness: a vertex t at distance D
+    from s has eccentricity D too, so t > s. One BFS from s then gives the
+    smallest such t.
     """
     n = g.vertex_count
     if n <= 1:
@@ -141,15 +154,31 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
     if -1 in dist0:
         other = dist0.index(-1)
         return (math.inf, (0, other))
-    best = -1
-    witness = (0, 0)
-    for s in range(n):
-        dist = _bfs_distances(g, s)
-        for t in range(s + 1, n):
-            if dist[t] > best:
-                best = dist[t]
-                witness = (s, t)
-    return (best, witness)
+    adj = g.adjacency
+    best, source = 0, 0
+    for lo in range(0, n, _BFS_BATCH):
+        width = min(_BFS_BATCH, n - lo)
+        full = (1 << width) - 1
+        reach = [0] * n
+        for i in range(width):
+            reach[lo + i] = 1 << i
+        rounds = last = 0
+        while True:
+            grown = 0
+            spread = reach[:]
+            for v, near in enumerate(adj):
+                r = reach[v]
+                if r != full:
+                    for u in near:
+                        r |= reach[u]
+                    grown |= r ^ reach[v]
+                    spread[v] = r
+            if not grown:
+                break
+            rounds, last, reach = rounds + 1, grown, spread
+        if rounds > best:
+            best, source = rounds, lo + (last & -last).bit_length() - 1
+    return (best, (source, _bfs_distances(g, source).index(best)))
 
 
 @dataclass(frozen=True)
@@ -159,11 +188,16 @@ class CutCertificate:
     components lists the connected components of the graph minus the
     separator, each sorted, ordered by smallest member. Complete graphs use
     the convention kappa = n - 1, separator = all but vertex 0.
+
+    three_way_cut says whether some kappa-separator leaves three or more
+    components, where the separator sweep listed them all (1 <= kappa <= 2,
+    below the largest degree); it is None elsewhere, and equality ignores it.
     """
 
     kappa: int
     separator: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
+    three_way_cut: bool | None = field(default=None, compare=False)
 
 
 def _split_graph(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
@@ -274,6 +308,16 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     in A and C, and it does not contain t. If A' were not A, C' would be a
     minimum s-t separator whose side is smaller than A, against C being
     the closest one. So C' = C.
+
+    For kappa <= 2 the sweep first lists every kappa-separator. A set S of
+    kappa >= 1 vertices is a separator exactly when S = X + {y} with
+    |X| = kappa - 1 and y a cut vertex of g - X: g - X is connected because
+    |X| < kappa, and g - S = (g - X) - y. So one DFS per X
+    (_cut_vertex_pieces) gives every separator with the components it
+    leaves. By Menger's theorem a pair that no kappa-separator splits has
+    local connectivity at least kappa + 1, so its capped flow would find no
+    cut and settle nothing; only the pairs some separator splits run one.
+    The same listing gives three_way_cut.
     """
     n = g.vertex_count
     if n == 0:
@@ -296,20 +340,37 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
             g.adjacency[s] for s in range(n)
             if any(not g.has_edge(s, t) for t in range(s + 1, n))
         )
-    else:
-        cuts = []
-        for s in range(n):
-            settled = [False] * n
-            for t in range(s + 1, n):
-                if settled[t] or g.has_edge(s, t):
-                    continue
-                _, cut, beyond = _min_vertex_cut(split, s, t, best + 1)
-                if cut is not None:
-                    cuts.append(cut)
-                    for x in beyond:
-                        settled[x] = True
-        separator = min(cuts)
-    return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
+        return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
+    three_way = None
+    apart = [(1 << n) - 1] * n  # apart[s]: the sinks whose flow from s may find a cut
+    if best <= 2:
+        three_way = False
+        apart = [0] * n
+        for x in combinations(range(n), best - 1):
+            for pieces in _cut_vertex_pieces(g, x):
+                three_way = three_way or len(pieces) >= 3
+                whole = sum(pieces)
+                for piece in pieces:
+                    rest = whole ^ piece
+                    while piece:
+                        low = piece & -piece
+                        apart[low.bit_length() - 1] |= rest
+                        piece ^= low
+    cuts = []
+    for s in range(n):
+        settled = [False] * n
+        for t in range(s + 1, n):
+            if settled[t] or not apart[s] >> t & 1 or g.has_edge(s, t):
+                continue
+            _, cut, beyond = _min_vertex_cut(split, s, t, best + 1)
+            if cut is not None:
+                cuts.append(cut)
+                for x in beyond:
+                    settled[x] = True
+    separator = min(cuts)
+    return CutCertificate(
+        best, separator, connected_components(g, frozenset(separator)), three_way
+    )
 
 
 @dataclass(frozen=True)
@@ -461,12 +522,13 @@ class HypothesisReport:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _splits_three_ways(g: Graph, removed: tuple[int, ...]) -> bool:
-    """Whether some vertex y splits g - removed, which must be connected,
-    into >= 3 components: one iterative DFS with discovery times and low
-    points (Hopcroft and Tarjan, CACM 1973). Each DFS child c of y with
-    low[c] >= disc[y] is a piece that y cuts off, and a y that is not the
-    root keeps one more piece, the one holding its parent."""
+def _cut_vertex_pieces(g: Graph, removed: tuple[int, ...]) -> list[list[int]]:
+    """For each cut vertex y of g - removed, which must be connected and not
+    empty, the components of g - removed - y as vertex bitmasks: one
+    iterative DFS with discovery times and low points (Hopcroft and Tarjan,
+    CACM 1973). Each DFS child c of y with low[c] >= disc[y] is a piece that
+    y cuts off, the subtree below c; a y that is not the root keeps one more
+    piece, the rest, which holds its parent."""
     adj = g.adjacency
     n = g.vertex_count
     disc = [-1] * n
@@ -474,8 +536,10 @@ def _splits_three_ways(g: Graph, removed: tuple[int, ...]) -> bool:
         disc[x] = n  # never entered, and never lowers a low point
     root = disc.index(-1)
     low = disc[:]
-    pieces = [1] * n  # the piece that holds the parent
-    disc[root] = low[root] = pieces[root] = 0
+    below = [0] * n  # the DFS subtree of each vertex, once it is finished
+    below[root] = 1 << root
+    pieces: dict[int, list[int]] = {}
+    disc[root] = low[root] = 0
     clock = 1
     stack = [(root, iter(adj[root]))]
     while stack:
@@ -483,31 +547,39 @@ def _splits_three_ways(g: Graph, removed: tuple[int, ...]) -> bool:
         for y in todo:
             if disc[y] == -1:
                 disc[y] = low[y] = clock
+                below[y] = 1 << y
                 clock += 1
                 stack.append((y, iter(adj[y])))
                 break
-            low[x] = min(low[x], disc[y])
+            if disc[y] < low[x]:
+                low[x] = disc[y]
         else:
             stack.pop()
             if stack:
                 p = stack[-1][0]
-                low[p] = min(low[p], low[x])
+                if low[x] < low[p]:
+                    low[p] = low[x]
+                below[p] |= below[x]
                 if low[x] >= disc[p]:
-                    pieces[p] += 1
-                    if pieces[p] >= 3:
-                        return True
-    return False
+                    pieces.setdefault(p, []).append(below[x])
+    for y, cut_off in pieces.items():
+        if y != root:
+            cut_off.append(below[root] ^ below[y])
+    return [cut_off for cut_off in pieces.values() if len(cut_off) >= 2]
 
 
-def _three_component_separator_exists(g: Graph, kappa: int) -> bool | None:
+def _three_component_separator_exists(
+    g: Graph, kappa: int, known: bool | None = None
+) -> bool | None:
     """Whether some separator of size exactly kappa splits g into >= 3
     components; None when the C(n, kappa) separators of that size exceed
-    the sweep budget.
+    the sweep budget. `known` is the answer when the caller already has it
+    (CutCertificate.three_way_cut); the budget rule holds all the same.
 
     For kappa >= 1, S = X + {y} is such a separator exactly when y splits
     g - X into >= 3 pieces, and g - X is connected because |X| < kappa. So
     one DFS per (kappa - 1)-subset X finds the articulation points that
-    split three ways (_splits_three_ways), in place of one component search
+    split three ways (_cut_vertex_pieces), in place of one component search
     per kappa-subset.
     """
     n = g.vertex_count
@@ -515,7 +587,13 @@ def _three_component_separator_exists(g: Graph, kappa: int) -> bool | None:
         return len(connected_components(g)) >= 3
     if math.comb(n, kappa) > _SEPARATOR_SWEEP_BUDGET:
         return None
-    return any(_splits_three_ways(g, x) for x in combinations(range(n), kappa - 1))
+    if known is not None:
+        return known
+    return any(
+        len(pieces) >= 3
+        for x in combinations(range(n), kappa - 1)
+        for pieces in _cut_vertex_pieces(g, x)
+    )
 
 
 def check_hypotheses(g: Graph) -> HypothesisReport:
@@ -550,15 +628,18 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
         # integer threshold: count <= (d-2)/2, or (d-1)/2 at girth 5
         slack = (d - 1) if gr == 5 else (d - 2)
         count_exists = packing_exists = False
+        paths_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for key in stats.max_path_disjoint:
+            for x in key:
+                paths_at[x].append(key)
         for v in range(n):
             edges_v = [(min(v, u), max(v, u)) for u in g.adjacency[v]]
             if all(2 * stats.per_edge_count[e] <= slack for e in edges_v):
                 count_exists = True
                 if count_witness is None:
                     count_witness = v
-            paths_v = [key for key in stats.max_path_disjoint if v in key]
             if all(2 * stats.max_edge_disjoint[e] <= slack for e in edges_v) and all(
-                2 * stats.max_path_disjoint[p] <= slack for p in paths_v
+                2 * stats.max_path_disjoint[p] <= slack for p in paths_at[v]
             ):
                 packing_exists = True
                 if packing_witness is None:
@@ -568,7 +649,9 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     small_cut_route = eligible and 2 * cert.kappa <= (d + 1 if d is not None else 0)
     loose_cut = eligible and d is not None and 3 * cert.kappa < 2 * d - 1
     loose_colors = min(2 * ((d + 4) // 3), d + 1) if loose_cut else None
-    three_comp = _three_component_separator_exists(g, cert.kappa) if loose_cut else None
+    three_comp = None
+    if loose_cut:
+        three_comp = _three_component_separator_exists(g, cert.kappa, cert.three_way_cut)
 
     phi_upper = 0 if n == 0 else g.max_degree() + 1
     phi_lower = 0 if n == 0 else 1

@@ -26,7 +26,8 @@ place at a node has none below it. The checks cut only subtrees without a
 b-coloring and the branching order does not depend on them, so the witness
 found is the one an unpruned search finds first; only `explored`, the color
 assignments tried, shrinks. Inputs above a vertex ceiling are refused, and a
-search that tries more than _SEARCH_NODE_BUDGET assignments gives up.
+search whose color assignments and witness placements together pass
+_SEARCH_NODE_BUDGET gives up.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ from bchromatic.graph_core import CeilingExceeded, Graph
 
 DEFAULT_VERTEX_CEILING = 24
 
-# color assignments (`explored`) one call may try before it raises
-# CeilingExceeded: over 100 times the most (81) that any test graph or
-# benchmark graph needs
+# color assignments plus witness placements one call may try before it
+# raises CeilingExceeded: over 5 times the most that a test graph needs
+# (1,902 on K_{9,9}: 1,886 placements, 16 assignments) and 9 times the most
+# that a benchmark graph needs (1,063 on K_{7,7}: 1,051 and 12)
 _SEARCH_NODE_BUDGET = 10_000
 
 
@@ -54,9 +56,10 @@ class OracleResult:
     report: VerificationReport
 
 
-def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
-    """Find a b-coloring with exactly k colors, counting assignments tried;
-    raise CeilingExceeded past `budget` of them."""
+def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int, int]:
+    """Find a b-coloring with exactly k colors. Returns it (or None), the
+    color assignments tried, and the nodes: those assignments plus the
+    witness placements. Raises CeilingExceeded past `budget` nodes."""
     n = g.vertex_count
     adj = g.adjacency
     candidates = [v for v in range(n) if g.degree(v) >= k - 1]
@@ -65,7 +68,15 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
     witness_of = [-1] * n
     missing: list[int] = []  # per witness, the colors its neighborhood lacks
     uncol: list[int] = []  # per witness, its uncolored neighbors
-    explored = 0
+    explored = placed = 0
+
+    def spend() -> None:
+        """Raise once the assignments and placements pass the budget."""
+        if explored + placed > budget:
+            raise CeilingExceeded(
+                f"the search tried more than {_SEARCH_NODE_BUDGET} color assignments"
+                " and witness placements"
+            )
 
     def scan() -> tuple[int, int] | None:
         """The most constrained uncolored vertex and its legal set, (-1, 0)
@@ -115,10 +126,7 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
             bit = legal & -legal
             legal ^= bit
             explored += 1
-            if explored > budget:
-                raise CeilingExceeded(
-                    f"the search tried more than {_SEARCH_NODE_BUDGET} color assignments"
-                )
+            spend()
             if assign(v, bit.bit_length() - 1):
                 node = scan()
                 if node is not None and color(*node):
@@ -129,9 +137,12 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
 
     def choose(j: int, start: int) -> bool:
         """Place witness j (color j+1) at a candidate from index start on."""
+        nonlocal placed
         saved = missing[:], uncol[:]
         for idx in range(start, len(candidates) - k + j + 1):
             w = candidates[idx]
+            placed += 1
+            spend()
             ok = assign(w, j + 1)
             witness_of[w] = j
             m = full & ~(1 << (j + 1))
@@ -150,13 +161,13 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int]:
         return False
 
     if not choose(0, 0):
-        return None, explored
+        return None, explored, explored + placed
     found = Coloring(k, tuple(colors))
     report = verify_bcoloring(g, found)
     assert report.is_b_coloring and len(report.used_colors) == k, (
         "search returned a non-b-coloring"
     )
-    return OracleResult(k, found, explored, report), explored
+    return OracleResult(k, found, explored, report), explored, explored + placed
 
 
 def exists_bcoloring_with_k(
@@ -165,7 +176,7 @@ def exists_bcoloring_with_k(
     """A verified b-coloring using exactly k colors, or None if impossible.
 
     Raises CeilingExceeded when the graph has more than `ceiling` vertices
-    or the search passes _SEARCH_NODE_BUDGET, and ValueError when k is
+    or the search passes _SEARCH_NODE_BUDGET nodes, and ValueError when k is
     outside 1..max_degree+1.
     """
     if g.vertex_count > ceiling:
@@ -174,7 +185,7 @@ def exists_bcoloring_with_k(
         )
     if not 1 <= k <= g.max_degree() + 1:
         raise ValueError(f"k must lie in 1..{g.max_degree() + 1}")
-    found, _ = _search(g, k, _SEARCH_NODE_BUDGET)
+    found, _, _ = _search(g, k, _SEARCH_NODE_BUDGET)
     return None if found is None else found.witness
 
 
@@ -186,7 +197,8 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
     the maximum. The scan always lands somewhere at or above the chromatic
     number, because exchanging away an unrealizable color turns any proper
     coloring into one with fewer colors. _SEARCH_NODE_BUDGET bounds the
-    assignments of the whole scan, and CeilingExceeded reports a pass.
+    assignments and placements of the whole scan, and CeilingExceeded
+    reports a pass; `explored` counts the assignments alone.
     """
     if g.vertex_count == 0:
         empty = Coloring(0, ())
@@ -195,10 +207,11 @@ def exact_b_chromatic(g: Graph, ceiling: int = DEFAULT_VERTEX_CEILING) -> Oracle
         raise CeilingExceeded(
             f"{g.vertex_count} vertices exceed the search ceiling {ceiling}"
         )
-    explored = 0
+    explored = nodes = 0
     for k in range(g.max_degree() + 1, 0, -1):
-        found, tried = _search(g, k, _SEARCH_NODE_BUDGET - explored)
+        found, tried, spent = _search(g, k, _SEARCH_NODE_BUDGET - nodes)
         explored += tried
+        nodes += spent
         if found is not None:
             return replace(found, explored=explored)
     raise AssertionError("no b-coloring found at any k; unreachable for n >= 1")

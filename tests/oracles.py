@@ -64,6 +64,29 @@ def brute_diameter(g: Graph) -> float:
     return best
 
 
+def bfs_diameter(g: Graph) -> tuple[float, tuple[int, int] | None]:
+    """(diameter, witness) by one BFS per vertex: the witness is the
+    lexicographically first pair s < t at the largest distance, which is
+    infinite between components. Fewer than two vertices give (0, None)."""
+    n = g.vertex_count
+    if n <= 1:
+        return (0, None)
+    best, witness = -1, None
+    for s in range(n):
+        dist = {s: 0}
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            for y in g.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    q.append(y)
+        for t in range(s + 1, n):
+            if dist.get(t, math.inf) > best:
+                best, witness = dist.get(t, math.inf), (s, t)
+    return (best, witness)
+
+
 def _connected_after_removal(g: Graph, removed: set[int]) -> bool:
     rest = [v for v in range(g.vertex_count) if v not in removed]
     if not rest:

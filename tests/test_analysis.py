@@ -1,4 +1,6 @@
 import importlib.util
+import io
+import itertools
 import json
 import math
 import random
@@ -73,6 +75,40 @@ def random_regular_graph(data, max_n=22) -> gc.Graph:
     label = list(range(n))
     rng.shuffle(label)
     return gc.Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def random_tree_graph(data, max_n=30) -> gc.Graph:
+    """A random tree on 1 to max_n vertices plus up to three random edges,
+    randomly labelled: connected, with long shortest paths."""
+    n = data.draw(st.integers(min_value=1, max_value=max_n))
+    rng = data.draw(st.randoms(use_true_random=False))
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    label = list(range(n))
+    rng.shuffle(label)
+    return gc.Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def random_ring(data) -> gc.Graph:
+    """A ring of 2-4 switched circulants (compare_outputs.ring_of_blocks),
+    each d-regular with d = 3-5: kappa <= 2 < d."""
+    d = data.draw(st.integers(min_value=3, max_value=5))
+    rng = data.draw(st.randoms(use_true_random=False))
+    blocks = []
+    for _ in range(data.draw(st.integers(min_value=2, max_value=4))):
+        m = rng.randint(d + 1, 12)
+        m -= m * d % 2
+        blocks.append(gc.Graph.from_edges(m, _regular_edges(rng, m, d)))
+    return compare_outputs.ring_of_blocks(blocks)
+
+
+def c4_free_ring() -> gc.Graph:
+    """A ring of three C4-free 4-regular blocks on 26 vertices each: kappa = 2."""
+    return compare_outputs.ring_of_blocks(
+        [gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)]
+    )
 
 
 def petersen_lift(copies: int, seed: int) -> gc.Graph:
@@ -210,6 +246,29 @@ class TestDiameterAndComponents:
         g = random_graph(data)
         assert analysis.diameter(g)[0] == oracles.brute_diameter(g)
 
+    @pytest.mark.parametrize("batch", [analysis._BFS_BATCH, 1, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_bfs_reference(self, batch, data):
+        """Value and witness, with one batch of sources or, batched by 1 or
+        3, several: sparse connected graphs, G(n, p) graphs (sparse ones are
+        mostly disconnected), and unions of two."""
+        kind = data.draw(st.sampled_from(["tree", "density", "union"]))
+        g = random_tree_graph(data) if kind == "tree" else random_density_graph(data)
+        if kind == "union":
+            g = gc.disjoint_union(g, random_tree_graph(data, max_n=6))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_BFS_BATCH", batch)
+            assert analysis.diameter(g) == oracles.bfs_diameter(g)
+
+    @pytest.mark.parametrize("batch", [analysis._BFS_BATCH, 1, 3])
+    def test_corpus_matches_bfs_reference(self, monkeypatch, small_corpus, batch):
+        """The empty graph, one vertex, and the disconnected graphs of the
+        corpus among them."""
+        monkeypatch.setattr(analysis, "_BFS_BATCH", batch)
+        for name, g in small_corpus:
+            assert analysis.diameter(g) == oracles.bfs_diameter(g), name
+
     def test_components(self):
         g = gc.Graph.from_edges(5, [(1, 3), (0, 4)])
         assert analysis.connected_components(g) == ((0, 4), (1, 3), (2,))
@@ -339,6 +398,51 @@ class TestVertexConnectivity:
         flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
         assert analysis.vertex_connectivity(gc.generate_cubic_chain(5)).kappa == 2
         assert flows[0] <= 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_listed_separators_match_sweep_reference(self, data):
+        """Hub graphs (kappa is 1 or 2 below the largest degree on most) and
+        rings of regular blocks (kappa <= 2 < delta): the sweep lists the
+        kappa-separators first and runs flows only for the pairs they
+        split."""
+        g = hub_graph(data) if data.draw(st.booleans()) else random_ring(data)
+        cert = analysis.vertex_connectivity(g)
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_sweep_flows_on_ring_all_find_a_cut(self, monkeypatch):
+        """On a ring of three C4-free 4-regular blocks (kappa = 2) every
+        flow after the Esfahanian-Hakimi ones is for a pair that some
+        2-separator splits, so each returns a cut."""
+        g = c4_free_ring()
+        calls = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            result = original(*args)
+            calls.append((args[3], result[1]))
+            return result
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        assert analysis.vertex_connectivity(g).kappa == 2
+        # the start vertex is 0 (every degree is 4): its non-neighbours and
+        # its non-adjacent neighbour pairs
+        first = [(0, w) for w in range(1, g.vertex_count) if not g.has_edge(0, w)]
+        first += [p for p in itertools.combinations(g.adjacency[0], 2) if not g.has_edge(*p)]
+        sweep = calls[len(first):]
+        assert sweep and all(cap == 3 and cut is not None for cap, cut in sweep)
+
+    def test_one_dfs_per_subset_in_analyze(self, monkeypatch, capsys):
+        """analyze on a kappa = 2 ring runs the cut-vertex DFS once per
+        vertex: the listing serves both the sweep and
+        three_component_cut_exists."""
+        g = c4_free_ring()
+        dfs = count_calls(monkeypatch, analysis, "_cut_vertex_pieces")
+        monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
+        assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kappa"] == 2 and payload["three_component_cut_exists"] is False
+        assert dfs[0] == math.comb(g.vertex_count, 1)
 
 
 class TestThreeComponentSeparator:

@@ -81,6 +81,15 @@ class TestExactValues:
         res = eo.exact_b_chromatic(gc.generate_complete_bipartite(d))
         assert res.phi == 2 and res.explored == 2 * d - 2
 
+    def test_budget_counts_witness_placements(self, monkeypatch):
+        # K_{7,7} needs 12 colour assignments but 765 witness placements,
+        # so a budget of 700 nodes stops it
+        g = gc.generate_complete_bipartite(7)
+        assert eo.exact_b_chromatic(g).explored == 12
+        monkeypatch.setattr(eo, "_SEARCH_NODE_BUDGET", 700)
+        with pytest.raises(gc.CeilingExceeded):
+            eo.exact_b_chromatic(g)
+
     def test_report_is_the_witness_verification(self, petersen):
         res = eo.exact_b_chromatic(petersen)
         assert res.report == verify_bcoloring(petersen, res.witness)
