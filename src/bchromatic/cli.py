@@ -30,6 +30,7 @@ from bchromatic.constructive import (
 )
 from bchromatic.exact_oracle import DEFAULT_VERTEX_CEILING, exact_b_chromatic
 from bchromatic.graph_core import (
+    PARSE_VERTEX_CEILING,
     CeilingExceeded,
     GenerationError,
     Graph,
@@ -106,20 +107,35 @@ def _run_generate(args: argparse.Namespace) -> int:
     if kind == "petersen" and not rest:
         g = generate_petersen()
     elif kind == "kdd":
-        g = generate_complete_bipartite(_positive_int(rest, "kdd degree"))
+        d = _positive_int(rest, "kdd degree")
+        _refuse_above_ceiling(spec, 2 * d, d * d)
+        g = generate_complete_bipartite(d)
     elif kind == "cycle":
-        g = generate_cycle(_positive_int(rest, "cycle length"))
+        n = _positive_int(rest, "cycle length")
+        _refuse_above_ceiling(spec, n, n)
+        g = generate_cycle(n)
     elif kind == "random":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"random spec needs d,n; got {rest!r}")
         d = _positive_int(parts[0], "degree")
         n = _positive_int(parts[1], "vertex count")
+        _refuse_above_ceiling(spec, n, n * d // 2)
         g = generate_random_c4_free_regular(d, n, args.seed)
     else:
         raise ValueError(f"unknown generator spec {spec!r}")
     sys.stdout.write(serialize_edge_list(g))
     return 0
+
+
+def _refuse_above_ceiling(spec: str, vertices: int, edges: int) -> None:
+    # before anything is allocated: time and memory grow with the edges, and
+    # the parsers could not read back more vertices than their ceiling
+    if max(vertices, edges) > PARSE_VERTEX_CEILING:
+        raise CeilingExceeded(
+            f"{spec} has {vertices} vertices and {edges} edges, above the generate "
+            f"ceiling of {PARSE_VERTEX_CEILING} for each"
+        )
 
 
 def _positive_int(text: str, label: str) -> int:

@@ -13,7 +13,8 @@ colors by color exchange.
 
 Each strategy gates the graph (regular, no 4-cycle) once;
 construct_auto_bcoloring gates once and passes the gated graph, which carries
-its degree, to the four routes in turn.
+its degree, to the four routes in turn. Every route ends in _certify, the one
+verification of its final coloring.
 """
 
 from __future__ import annotations
@@ -263,8 +264,6 @@ def plan_seed(
     nv = g.neighbor_sets[center]
     order: list[int]
     if triangle_mode:
-        if d % 2:
-            raise ValueError("triangle mode requires even degree")
         pair = None
         for a in neighbors:
             for b in sorted(g.neighbor_sets[a] & nv):
@@ -402,12 +401,15 @@ def seed_dominating_neighborhood(
     and the first `steps` ordered neighbors all see every color of 1..d+1 on
     their closed neighborhoods.
 
-    Works canonically (center d+1, j-th neighbor j; see _seed_rings) and
-    applies the plan's color_map at the end. Every counting guarantee the
-    inductive argument rests on is asserted at runtime; a failed ring
-    matching raises ConstructionInvariantError carrying the Hall violator.
+    The plan must have passed validate_seed_plan, as every plan from
+    plan_seed has. Works canonically (center d+1, j-th neighbor j; see
+    _seed_rings) and applies the plan's color_map at the end. Every counting
+    guarantee the inductive argument rests on is asserted at runtime; a
+    failed ring matching raises ConstructionInvariantError carrying the Hall
+    violator. The result is not validated here: greedy_extend, which every
+    route calls next, validates its input.
     """
-    d = validate_seed_plan(g, plan)
+    d = len(plan.ordered_neighbors)
     center = plan.center
     seeded = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, bounded=True)
     if isinstance(seeded, HallViolator):
@@ -432,9 +434,7 @@ def seed_dominating_neighborhood(
     mapped: list[int | None] = [None] * g.vertex_count
     for v, c in colors.items():
         mapped[v] = plan.color_map[c - 1]
-    result = PartialColoring(d + 1, tuple(mapped))
-    validate_partial_coloring(g, result)
-    return result
+    return PartialColoring(d + 1, tuple(mapped))
 
 
 def realized_targets(plan: SeedPlan, d: int) -> tuple[int, ...]:
@@ -534,7 +534,8 @@ def _reduce_unrealized(
 
 @dataclass(frozen=True)
 class ConstructionOutcome:
-    """A verified b-coloring plus how it was obtained.
+    """A verified b-coloring plus how it was obtained; only _certify builds
+    one.
 
     guaranteed_colors is what the strategy promises for its hypothesis class;
     the coloring may use more. Strategy is one of "full-seed", "lower-bound",
@@ -582,40 +583,51 @@ def _cycle_order(g: Graph, component: tuple[int, ...]) -> list[int]:
     return order
 
 
-def _small_case_bcoloring(g: Graph, d: int) -> Coloring:
+def _certify(
+    g: Graph,
+    strategy: str,
+    promised: int,
+    coloring: Coloring,
+    plans: tuple[SeedPlan, ...] = (),
+    triangle_mode: bool = False,
+    report: VerificationReport | None = None,
+) -> ConstructionOutcome:
+    """The one final check of every route: coloring must be a b-coloring
+    with at least `promised` colors. A route that promises d+1 colors works
+    in the palette 1..d+1, so for it at least means exactly.
+
+    `report` is the route's own verification of `coloring` when it already
+    made one (the last pass of the reduction); otherwise this verifies.
+    """
+    if report is None:
+        report = verify_bcoloring(g, coloring)
+    if not report.is_b_coloring or len(report.used_colors) < promised:
+        raise ConstructionInvariantError(
+            f"{strategy} construction did not reach a b-coloring with {promised} "
+            f"colors: used {list(report.used_colors)}, dominating {report.realized}"
+        )
+    return ConstructionOutcome(coloring, strategy, promised, plans, triangle_mode, report)
+
+
+def _small_case(g: Graph, d: int) -> ConstructionOutcome:
     """Direct b-colorings with d+1 colors for degrees 0..2.
 
     d = 2 components are cycles other than C4 (the 4-cycle gate ran); the
     repeating 1,2,3 pattern with a fixed seam yields dominating vertices for
     all three colors.
     """
-    n = g.vertex_count
-    if d == 0:
-        return Coloring(1, (1,) * n)
+    colors = [1] * g.vertex_count
     if d == 1:
-        colors = [0] * n
-        for u, v in g.edges():
-            colors[u], colors[v] = 1, 2
-        return Coloring(2, tuple(colors))
-    colors = [0] * n
-    for component in analysis.connected_components(g):
-        order = _cycle_order(g, component)
-        m = len(order)
-        for pos, v in enumerate(order):
-            colors[v] = pos % 3 + 1
-        if m % 3 == 1:
-            colors[order[-1]] = 2
-    return Coloring(3, tuple(colors))
-
-
-def _finish_small_case(g: Graph, d: int) -> ConstructionOutcome:
-    coloring = _small_case_bcoloring(g, d)
-    report = verify_bcoloring(g, coloring)
-    if not report.is_b_coloring or len(report.used_colors) != d + 1:
-        raise ConstructionInvariantError(
-            f"small-case coloring failed verification for degree {d}"
-        )
-    return ConstructionOutcome(coloring, "small-case", d + 1, (), False, report)
+        for _, v in g.edges():
+            colors[v] = 2
+    elif d == 2:
+        for component in analysis.connected_components(g):
+            order = _cycle_order(g, component)
+            for pos, v in enumerate(order):
+                colors[v] = pos % 3 + 1
+            if len(order) % 3 == 1:
+                colors[order[-1]] = 2
+    return _certify(g, "small-case", d + 1, Coloring(d + 1, tuple(colors)))
 
 
 def construct_lower_bound_bcoloring(
@@ -631,11 +643,8 @@ def construct_lower_bound_bcoloring(
     d = _gate_regular_c4_free(g)
     tri = analysis.find_triangle(g)
     if d <= 2:
-        outcome = _finish_small_case(g, d)
-        promised = (d + 4) // 2 if tri else (d + 3) // 2
-        if len(outcome.report.used_colors) < promised:
-            raise ConstructionInvariantError("small case fell below the promised bound")
-        return outcome
+        # d+1 colors, never fewer than the bound below
+        return _small_case(g, d)
     triangle_mode = d % 2 == 0 and tri is not None
     if triangle_mode:
         assert tri is not None
@@ -652,41 +661,13 @@ def construct_lower_bound_bcoloring(
     partial = seed_dominating_neighborhood(g, plan, trace=trace)
     total = greedy_extend(g, partial, sources=(center,))
     reduced, report = _reduce_unrealized(g, total, trace=trace)
-    promised = (d + 4) // 2 if tri else (d + 3) // 2
     kept = realized_targets(plan, d)
-    if (
-        not report.is_b_coloring
-        or len(report.used_colors) < promised
-        or any(report.realized.get(c) is None for c in kept)
-    ):
+    if any(report.realized.get(c) is None for c in kept):
         raise ConstructionInvariantError(
             f"reduction lost a seeded color: kept {kept}, report {report.realized}"
         )
-    return ConstructionOutcome(reduced, "lower-bound", promised, (plan,), triangle_mode, report)
-
-
-def _seeded_region(partial: PartialColoring) -> set[int]:
-    return set(partial.assigned_vertices())
-
-
-def _merge_partials(g: Graph, a: PartialColoring, b: PartialColoring) -> PartialColoring:
-    if a.palette_size != b.palette_size:
-        raise ConstructionInvariantError("seedings disagree on palette size")
-    ra, rb = _seeded_region(a), _seeded_region(b)
-    overlap = ra & rb
-    if overlap:
-        raise ConstructionInvariantError(f"seeded regions overlap on {sorted(overlap)}")
-    for u in ra:
-        for v in g.adjacency[u]:
-            if v in rb:
-                raise ConstructionInvariantError(
-                    f"edge ({u}, {v}) connects the two seeded regions"
-                )
-    merged = tuple(
-        a.assignment[v] if a.assignment[v] is not None else b.assignment[v]
-        for v in range(g.vertex_count)
-    )
-    return PartialColoring(a.palette_size, merged)
+    promised = (d + 4) // 2 if tri else (d + 3) // 2
+    return _certify(g, "lower-bound", promised, reduced, (plan,), triangle_mode, report)
 
 
 def _two_center_finish(
@@ -696,21 +677,26 @@ def _two_center_finish(
     plans: tuple[SeedPlan, SeedPlan],
     trace: ConstructionTrace | None,
 ) -> ConstructionOutcome:
+    # the two seedings must be apart: no vertex of the second lies in the
+    # first or next to it, so the merged coloring is proper and neither
+    # seeding's dominating vertices lose a color
     first = seed_dominating_neighborhood(g, plans[0], trace=trace)
     second = seed_dominating_neighborhood(g, plans[1], trace=trace)
-    merged = _merge_partials(g, first, second)
-    total = greedy_extend(g, merged, sources=(plans[0].center, plans[1].center))
-    report = verify_bcoloring(g, total)
-    covered = set(realized_targets(plans[0], d)) | set(realized_targets(plans[1], d))
-    if covered != set(range(1, d + 2)):
-        raise ConstructionInvariantError(
-            f"the two seedings realize {sorted(covered)} instead of all of 1..{d + 1}"
-        )
-    if not report.is_b_coloring or len(report.used_colors) != d + 1:
-        raise ConstructionInvariantError(
-            f"{strategy} construction did not reach a {d + 1}-color b-coloring"
-        )
-    return ConstructionOutcome(total, strategy, d + 1, plans, False, report)
+    merged = list(first.assignment)
+    for v, c in enumerate(second.assignment):
+        if c is None:
+            continue
+        if first.assignment[v] is not None or any(
+            first.assignment[u] is not None for u in g.adjacency[v]
+        ):
+            raise ConstructionInvariantError(
+                f"vertex {v} of the second seeding lies in the first or next to it"
+            )
+        merged[v] = c
+    total = greedy_extend(
+        g, PartialColoring(d + 1, tuple(merged)), sources=(plans[0].center, plans[1].center)
+    )
+    return _certify(g, strategy, d + 1, total, plans)
 
 
 def construct_diameter_bcoloring(
@@ -727,7 +713,7 @@ def construct_diameter_bcoloring(
     if diam < 6:
         raise HypothesisRejection(f"diameter {diam} is below 6")
     if d <= 2:
-        return _finish_small_case(g, d)
+        return _small_case(g, d)
     assert witness is not None
     v, w = witness
     low = list(range(1, (d + 3) // 2 + 1))
@@ -764,7 +750,7 @@ def construct_connectivity_bcoloring(
             f"vertex connectivity {cert.kappa} exceeds ({d} + 1)/2"
         )
     if d <= 2:
-        return _finish_small_case(g, d)
+        return _small_case(g, d)
     if len(cert.components) < 2:
         raise ConstructionInvariantError(
             "minimum separator failed to disconnect a non-complete graph"
@@ -809,6 +795,7 @@ def construct_connectivity_bcoloring(
             raise ConstructionInvariantError(
                 f"anchor {anchor} has neighbors outside its component"
             )
+        validate_seed_plan(g, plan)  # built here, not by plan_seed
         plans.append(plan)
     return _two_center_finish(g, d, "connectivity", (plans[0], plans[1]), trace)
 
@@ -823,16 +810,11 @@ def _full_seed_at(
         return seeded
     colors, records = seeded
     partial = PartialColoring(d + 1, tuple(map(colors.get, range(g.vertex_count))))
-    total = greedy_extend(g, partial, sources=(center,))
-    report = verify_bcoloring(g, total)
-    if not report.is_b_coloring or len(report.used_colors) != d + 1:
-        raise ConstructionInvariantError(
-            f"full seeding at {center} did not reach a {d + 1}-color b-coloring"
-        )
+    outcome = _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)))
     if trace is not None:
         trace.centers.append(center)
         trace.seed_steps.extend(records)
-    return ConstructionOutcome(total, "full-seed", d + 1, (), False, report)
+    return outcome
 
 
 def construct_full_seed_bcoloring(
@@ -860,7 +842,7 @@ def construct_full_seed_bcoloring(
     """
     d = _gate_regular_c4_free(g)
     if d <= 2:
-        return _finish_small_case(g, d)
+        return _small_case(g, d)
     violator = None
     for center in range(g.vertex_count):
         found = _full_seed_at(g, d, center, trace)

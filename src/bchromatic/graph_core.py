@@ -280,16 +280,6 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     return Graph.from_edges(shift + b.vertex_count, edges)
 
 
-def remove_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
-    """Return g without the listed edges. Missing edges raise ValueError."""
-    gone = {(min(u, v), max(u, v)) for u, v in drop}
-    present = set(g.edges())
-    missing = gone - present
-    if missing:
-        raise ValueError(f"edges not in graph: {sorted(missing)}")
-    return Graph.from_edges(g.vertex_count, present - gone)
-
-
 def generate_cubic_bridge_pair() -> Graph:
     """24-vertex cubic C4-free graph of diameter 8.
 

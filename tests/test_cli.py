@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from dataclasses import fields
 
 import pytest
@@ -73,6 +74,14 @@ class TestGenerate:
             monkeypatch, capsys, ["generate", "--input", "random:3,100000000"]
         )
         assert code == 2 and "ceiling" in err
+
+    @pytest.mark.parametrize("spec", ["cycle:1000001", "kdd:1001"])
+    def test_spec_above_size_ceiling_exits_two_before_building(self, monkeypatch, capsys, spec):
+        # one edge over the ceiling; building either graph takes seconds
+        start = time.perf_counter()
+        code, out, err = run_cli(monkeypatch, capsys, ["generate", "--input", spec])
+        assert code == 2 and out == "" and "ceiling" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_dimacs_output_refused(self, monkeypatch, capsys):
         code, _, _ = run_cli(

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -400,7 +401,8 @@ class TestAutoReachesTheReportedBound:
 
 class TestDiameterStrategy:
     def test_chain_gadgets(self):
-        for beads in (3, 4):
+        # chains of 3 or more beads have diameter at least 7
+        for beads in range(3, 11):
             g = gc.generate_cubic_chain(beads)
             out = con.construct_diameter_bcoloring(g)
             assert out.strategy == "diameter"
@@ -433,7 +435,7 @@ class TestDiameterStrategy:
 
 class TestConnectivityStrategy:
     def test_chain_gadgets(self):
-        for beads in (2, 3):
+        for beads in range(2, 11):
             g = gc.generate_cubic_chain(beads)
             out = con.construct_connectivity_bcoloring(g)
             assert out.strategy == "connectivity"
@@ -458,6 +460,57 @@ class TestConnectivityStrategy:
             con.construct_connectivity_bcoloring(petersen)
         with pytest.raises(con.HypothesisRejection):
             con.construct_connectivity_bcoloring(heawood)
+
+
+class TestCertification:
+    """Each seed plan is validated once, each route's final coloring is
+    verified once, and two seedings merge only when they are apart."""
+
+    ROUTES = [
+        ("lower-bound", con.construct_lower_bound_bcoloring, gc.generate_petersen),
+        ("lower-bound", con.construct_lower_bound_bcoloring,
+         lambda: gc.generate_random_c4_free_regular(4, 20, 0)),
+        ("diameter", con.construct_diameter_bcoloring, lambda: gc.generate_cubic_chain(3)),
+        ("connectivity", con.construct_connectivity_bcoloring,
+         lambda: gc.generate_cubic_chain(2)),
+        ("full-seed", con.construct_full_seed_bcoloring,
+         lambda: gc.disjoint_union(gc.generate_petersen(), gc.generate_heawood())),
+        ("small-case", con.construct_lower_bound_bcoloring, lambda: gc.generate_cycle(7)),
+    ]
+
+    @pytest.mark.parametrize("strategy,route,make", ROUTES, ids=[r[0] for r in ROUTES])
+    def test_each_plan_validated_and_final_coloring_verified_once(
+        self, monkeypatch, strategy, route, make
+    ):
+        g = make()
+        validated, verified = [], []
+        validate, verify = con.validate_seed_plan, con.verify_bcoloring
+
+        def count_validate(graph, plan):
+            validated.append(plan)
+            return validate(graph, plan)
+
+        def count_verify(graph, coloring):
+            verified.append(coloring)
+            return verify(graph, coloring)
+
+        monkeypatch.setattr(con, "validate_seed_plan", count_validate)
+        monkeypatch.setattr(con, "verify_bcoloring", count_verify)
+        out = route(g)
+        assert out.strategy == strategy
+        assert Counter(validated) == Counter(out.plans)
+        assert verified.count(out.coloring) == 1
+        assert_outcome_ok(g, out, min_colors=out.guaranteed_colors)
+
+    @pytest.mark.parametrize("distance", [1, 2, 3])
+    def test_two_center_finish_refuses_seedings_that_touch(self, distance):
+        # 0-step seedings color the closed neighborhoods of their centers,
+        # which share a vertex or an edge when the centers are this close
+        g = gc.generate_cubic_chain(3)
+        far = analysis._bfs_distances(g, 0).index(distance)
+        plans = (con.plan_seed(g, 0, 0), con.plan_seed(g, far, 0))
+        with pytest.raises(con.ConstructionInvariantError, match="second seeding"):
+            con._two_center_finish(g, 3, "diameter", plans, None)
 
 
 def _c4_free(adj):

@@ -138,13 +138,6 @@ class TestGenerators:
         assert g.vertex_count == 6
         assert g.has_edge(0, 1) and g.has_edge(3, 4) and not g.has_edge(2, 3)
 
-    def test_remove_edges(self):
-        g = gc.generate_cycle(4)
-        h = gc.remove_edges(g, [(0, 1)])
-        assert h.edge_count == 3 and not h.has_edge(0, 1)
-        with pytest.raises(ValueError):
-            gc.remove_edges(g, [(0, 2)])
-
 
 class TestCubicGadgets:
     def test_bridge_pair_is_cubic_and_c4_free(self):

@@ -30,6 +30,27 @@ def test_compare_outputs_finds_no_difference_with_itself():
     assert done.stdout.splitlines()[-1].endswith(" cases, 0 differ")
 
 
+def test_count_lines_skips_docstrings_comments_and_blanks(tmp_path):
+    spec = importlib.util.spec_from_file_location("count_lines", ROOT / "scripts" / "count_lines.py")
+    count_lines = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_lines)
+    small = '"""A module\ndocstring."""\n\n# a comment\nx = 1\ny = "a string"  # trailing\n'
+    assert count_lines.code_lines(small) == 2
+    (tmp_path / "small.py").write_text(small)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == ["total", "6", "2"]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "count_lines.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    physical = sum(p.read_text().count("\n") for p in (ROOT / "src" / "bchromatic").glob("*.py"))
+    assert int(done.stdout.splitlines()[-1].split()[1]) == physical
+
+
 def test_showcase_try_route_takes_every_route():
     spec = importlib.util.spec_from_file_location("showcase", ROOT / "scripts" / "showcase.py")
     showcase = importlib.util.module_from_spec(spec)
