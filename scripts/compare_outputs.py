@@ -4,11 +4,12 @@ Usage: python3 scripts/compare_outputs.py OTHER_SRC [--count N]
 
 OTHER_SRC is the `src` directory of another checkout, for example the parent
 commit's. Builds a fixed corpus in-process from graph_core: Petersen,
-Heawood, cubic chains of 2-5 beads, the bridge pair, generalized Petersen
-graphs, N graphs random:d,n for each d = 3-5, and N rings of three random
-C4-free 4-regular blocks. Each graph's edge-list text is the stdin of
-`color` with every strategy (auto included) and of `analyze` with text and
-JSON output. `generate --input random:d,n --seed s` runs for the same N
+two and three disjoint copies of Petersen (kappa = 0, the second with three
+components), Heawood, cubic chains of 2-5 beads, the bridge pair,
+generalized Petersen graphs, N graphs random:d,n for each d = 3-5, and N
+rings of three random C4-free 4-regular blocks. Each graph's edge-list text
+is the stdin of `color` with every strategy (auto included) and of `analyze`
+with text and JSON output. `generate --input random:d,n --seed s` runs for the same N
 seeds at each size of RANDOM_SIZES and at random:3,2000.
 
 Each tree runs all the cases in one child interpreter, started with the
@@ -56,7 +57,10 @@ def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
 
 
 def corpus(count: int) -> dict[str, gc.Graph]:
-    graphs = {"petersen": gc.generate_petersen(), "heawood": gc.generate_heawood()}
+    petersen = gc.generate_petersen()
+    graphs = {"petersen": petersen, "heawood": gc.generate_heawood()}
+    graphs["petersen*2"] = gc.disjoint_union(petersen, petersen)
+    graphs["petersen*3"] = gc.disjoint_union(graphs["petersen*2"], petersen)
     graphs |= {f"chain:{b}": gc.generate_cubic_chain(b) for b in range(2, 6)}
     graphs["bridge-pair"] = gc.generate_cubic_bridge_pair()
     graphs |= {f"gp:{n},{k}": gc.generate_generalized_petersen(n, k)

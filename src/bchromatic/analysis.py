@@ -15,8 +15,7 @@ from bchromatic.graph_core import CeilingExceeded, Graph
 # five_cycle_stats enumerates every 5-cycle; refuse beyond this many vertices
 FIVE_CYCLE_VERTEX_CEILING = 200
 
-# three-component separator sweep gives up (reports unknown) beyond this many
-# candidate subsets
+# three_component_cut_exists reads unknown (None) beyond this many kappa-subsets
 _SEPARATOR_SWEEP_BUDGET = 250_000
 
 # sources per bit-parallel BFS batch in diameter; each of its two lists of
@@ -190,8 +189,9 @@ class CutCertificate:
     the convention kappa = n - 1, separator = all but vertex 0.
 
     three_way_cut says whether some kappa-separator leaves three or more
-    components, where the separator sweep listed them all (1 <= kappa <= 2,
-    below the largest degree); it is None elsewhere, and equality ignores it.
+    components: for kappa = 0 whether g has three or more components, for
+    1 <= kappa <= 2 below the largest degree from the separator sweep's
+    listing. It is None elsewhere, and equality ignores it.
     """
 
     kappa: int
@@ -309,12 +309,16 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     minimum s-t separator whose side is smaller than A, against C being
     the closest one. So C' = C.
 
+    One DFS of the whole graph for its cut vertices (_cut_vertex_pieces)
+    decides kappa = 1, and then no Esfahanian-Hakimi flow runs. Otherwise
+    kappa >= 2, and those flows stop once kappa = 2 is reached.
+
     For kappa <= 2 the sweep first lists every kappa-separator. A set S of
     kappa >= 1 vertices is a separator exactly when S = X + {y} with
     |X| = kappa - 1 and y a cut vertex of g - X: g - X is connected because
-    |X| < kappa, and g - S = (g - X) - y. So one DFS per X
-    (_cut_vertex_pieces) gives every separator with the components it
-    leaves. By Menger's theorem a pair that no kappa-separator splits has
+    |X| < kappa, and g - S = (g - X) - y. So one DFS per X gives every
+    separator with the components it leaves; for kappa = 1 that is the DFS
+    above. By Menger's theorem a pair that no kappa-separator splits has
     local connectivity at least kappa + 1, so its capped flow would find no
     cut and settle nothing; only the pairs some separator splits run one.
     The same listing gives three_way_cut.
@@ -324,38 +328,42 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
         return CutCertificate(0, (), ())
     comps = connected_components(g)
     if len(comps) > 1:
-        return CutCertificate(0, (), comps)
+        return CutCertificate(0, (), comps, len(comps) >= 3)
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     split = _split_graph(g)
     degs = g.degrees()
-    best = min(degs)
-    v = degs.index(best)
-    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
-    pairs += [(x, y) for x, y in combinations(g.adjacency[v], 2) if not g.has_edge(x, y)]
-    for s, t in pairs:
-        best = min(best, _min_vertex_cut(split, s, t, best)[0])
-    if best == max(degs):
-        separator = min(
-            g.adjacency[s] for s in range(n)
-            if any(not g.has_edge(s, t) for t in range(s + 1, n))
-        )
-        return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
+    listing = _cut_vertex_pieces(g, ())
+    best = 1 if listing else min(degs)
+    if not listing:
+        v = degs.index(best)
+        pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
+        pairs += [(x, y) for x, y in combinations(g.adjacency[v], 2) if not g.has_edge(x, y)]
+        for s, t in pairs:
+            if best == 2:
+                break
+            best = min(best, _min_vertex_cut(split, s, t, best)[0])
+        if best == max(degs):
+            separator = min(
+                g.adjacency[s] for s in range(n)
+                if any(not g.has_edge(s, t) for t in range(s + 1, n))
+            )
+            return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
+        if best == 2:
+            listing = [pieces for x in range(n) for pieces in _cut_vertex_pieces(g, (x,))]
     three_way = None
     apart = [(1 << n) - 1] * n  # apart[s]: the sinks whose flow from s may find a cut
     if best <= 2:
-        three_way = False
+        three_way = any(len(pieces) >= 3 for pieces in listing)
         apart = [0] * n
-        for x in combinations(range(n), best - 1):
-            for pieces in _cut_vertex_pieces(g, x):
-                three_way = three_way or len(pieces) >= 3
-                whole = sum(pieces)
-                for piece in pieces:
-                    rest = whole ^ piece
-                    while piece:
-                        low = piece & -piece
-                        apart[low.bit_length() - 1] |= rest
-                        piece ^= low
+        for pieces in listing:
+            whole = sum(pieces)
+            for piece in pieces:
+                rest = whole ^ piece
+                while piece:
+                    low = piece & -piece
+                    apart[low.bit_length() - 1] |= rest
+                    piece ^= low
     cuts = []
     for s in range(n):
         settled = [False] * n
@@ -568,30 +576,18 @@ def _cut_vertex_pieces(g: Graph, removed: tuple[int, ...]) -> list[list[int]]:
     return [cut_off for cut_off in pieces.values() if len(cut_off) >= 2]
 
 
-def _three_component_separator_exists(
-    g: Graph, kappa: int, known: bool | None = None
-) -> bool | None:
-    """Whether some separator of size exactly kappa splits g into >= 3
-    components; None when the C(n, kappa) separators of that size exceed
-    the sweep budget. `known` is the answer when the caller already has it
-    (CutCertificate.three_way_cut); the budget rule holds all the same.
+def _three_component_separator_exists(g: Graph, kappa: int) -> bool:
+    """Whether some separator of size exactly kappa >= 1 splits g into >= 3
+    components.
 
-    For kappa >= 1, S = X + {y} is such a separator exactly when y splits
-    g - X into >= 3 pieces, and g - X is connected because |X| < kappa. So
-    one DFS per (kappa - 1)-subset X finds the articulation points that
-    split three ways (_cut_vertex_pieces), in place of one component search
-    per kappa-subset.
+    S = X + {y} is such a separator exactly when y splits g - X into >= 3
+    pieces, and g - X is connected because |X| < kappa. So one DFS per
+    (kappa - 1)-subset X finds the articulation points that split three ways
+    (_cut_vertex_pieces), in place of one component search per kappa-subset.
     """
-    n = g.vertex_count
-    if kappa == 0:
-        return len(connected_components(g)) >= 3
-    if math.comb(n, kappa) > _SEPARATOR_SWEEP_BUDGET:
-        return None
-    if known is not None:
-        return known
     return any(
         len(pieces) >= 3
-        for x in combinations(range(n), kappa - 1)
+        for x in combinations(range(g.vertex_count), kappa - 1)
         for pieces in _cut_vertex_pieces(g, x)
     )
 
@@ -650,8 +646,10 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     loose_cut = eligible and d is not None and 3 * cert.kappa < 2 * d - 1
     loose_colors = min(2 * ((d + 4) // 3), d + 1) if loose_cut else None
     three_comp = None
-    if loose_cut:
-        three_comp = _three_component_separator_exists(g, cert.kappa, cert.three_way_cut)
+    if loose_cut and math.comb(n, cert.kappa) <= _SEPARATOR_SWEEP_BUDGET:
+        three_comp = cert.three_way_cut
+        if three_comp is None:  # kappa >= 3: vertex_connectivity lists no separators
+            three_comp = _three_component_separator_exists(g, cert.kappa)
 
     phi_upper = 0 if n == 0 else g.max_degree() + 1
     phi_lower = 0 if n == 0 else 1

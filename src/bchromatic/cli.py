@@ -34,7 +34,6 @@ from bchromatic.graph_core import (
     CeilingExceeded,
     GenerationError,
     Graph,
-    ParseError,
     generate_complete_bipartite,
     generate_cycle,
     generate_petersen,
@@ -253,9 +252,6 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
-        print(f"bchromatic: {exc}", file=sys.stderr)
-        return 1
     except (HypothesisRejection, GenerationError, CeilingExceeded) as exc:
         print(f"bchromatic: {exc}", file=sys.stderr)
         return 2

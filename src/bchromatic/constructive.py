@@ -57,9 +57,6 @@ class PartialColoring:
     def assigned_vertices(self) -> tuple[int, ...]:
         return tuple(v for v, c in enumerate(self.assignment) if c is not None)
 
-    def used_colors(self) -> tuple[int, ...]:
-        return tuple(sorted({c for c in self.assignment if c is not None}))
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -67,9 +64,6 @@ class Coloring:
 
     palette_size: int
     assignment: tuple[int, ...]
-
-    def used_colors(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.assignment)))
 
 
 def validate_partial_coloring(g: Graph, pc: PartialColoring) -> None:

@@ -1,6 +1,5 @@
 import importlib.util
 import io
-import itertools
 import json
 import math
 import random
@@ -412,7 +411,7 @@ class TestVertexConnectivity:
 
     def test_sweep_flows_on_ring_all_find_a_cut(self, monkeypatch):
         """On a ring of three C4-free 4-regular blocks (kappa = 2) every
-        flow after the Esfahanian-Hakimi ones is for a pair that some
+        sweep flow, capped at kappa + 1 = 3, is for a pair that some
         2-separator splits, so each returns a cut."""
         g = c4_free_ring()
         calls = []
@@ -425,34 +424,56 @@ class TestVertexConnectivity:
 
         monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
         assert analysis.vertex_connectivity(g).kappa == 2
-        # the start vertex is 0 (every degree is 4): its non-neighbours and
-        # its non-adjacent neighbour pairs
-        first = [(0, w) for w in range(1, g.vertex_count) if not g.has_edge(0, w)]
-        first += [p for p in itertools.combinations(g.adjacency[0], 2) if not g.has_edge(*p)]
-        sweep = calls[len(first):]
-        assert sweep and all(cap == 3 and cut is not None for cap, cut in sweep)
+        sweep = [cut for cap, cut in calls if cap == 3]
+        assert sweep and all(cut is not None for cut in sweep)
+
+    def test_no_flow_capped_at_kappa(self, monkeypatch):
+        """The cut-vertex DFS decides kappa = 1, and the Esfahanian-Hakimi
+        flows stop at kappa = 2, so no flow runs with a cap that kappa
+        already meets: each is capped above kappa."""
+        caps = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            caps.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        for g, kappa in (
+            (c4_free_ring(), 2),
+            (gc.generate_cubic_chain(5), 2),
+            (gc.generate_cubic_bridge_pair(), 1),
+        ):
+            caps.clear()
+            assert analysis.vertex_connectivity(g).kappa == kappa
+            assert caps and min(caps) > kappa
 
     def test_one_dfs_per_subset_in_analyze(self, monkeypatch, capsys):
-        """analyze on a kappa = 2 ring runs the cut-vertex DFS once per
-        vertex: the listing serves both the sweep and
-        three_component_cut_exists."""
+        """analyze on a kappa = 2 ring runs the cut-vertex DFS once on the
+        whole graph (no cut vertex, so kappa >= 2) and then once per vertex:
+        the listing serves both the sweep and three_component_cut_exists."""
         g = c4_free_ring()
         dfs = count_calls(monkeypatch, analysis, "_cut_vertex_pieces")
         monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
         assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["kappa"] == 2 and payload["three_component_cut_exists"] is False
-        assert dfs[0] == math.comb(g.vertex_count, 1)
+        assert dfs[0] == 1 + g.vertex_count
 
 
 class TestThreeComponentSeparator:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_subset_sweep(self, data):
+        """The listing helper, and three_way_cut wherever the certificate
+        carries it, agree with one component search per kappa-subset."""
         g = hub_graph(data)
         kappa = oracles.sweep_vertex_connectivity(g)[0]
-        fast = analysis._three_component_separator_exists(g, kappa)
-        assert fast == oracles.brute_three_component_separator(g, kappa)
+        brute = oracles.brute_three_component_separator(g, kappa)
+        if kappa >= 1:
+            assert analysis._three_component_separator_exists(g, kappa) == brute
+        three_way = analysis.vertex_connectivity(g).three_way_cut
+        assert three_way is None or three_way == brute
 
     def test_known_cases(self):
         bridge_pair = gc.generate_cubic_bridge_pair()
@@ -460,7 +481,17 @@ class TestThreeComponentSeparator:
         assert analysis.vertex_connectivity(bridge_pair).kappa == 1
         for g, expected in ((bridge_pair, False), (claw, True)):
             assert analysis._three_component_separator_exists(g, 1) is expected
+            assert analysis.vertex_connectivity(g).three_way_cut is expected
             assert oracles.brute_three_component_separator(g, 1) is expected
+
+    def test_unknown_beyond_budget(self, monkeypatch):
+        """The bridge pair (n = 24, kappa = 1) has C(24, 1) = 24 separator
+        candidates: a budget of 23 makes three_component_cut_exists null."""
+        g = gc.generate_cubic_bridge_pair()
+        assert analysis.check_hypotheses(g).three_component_cut_exists is False
+        monkeypatch.setattr(analysis, "_SEPARATOR_SWEEP_BUDGET", 23)
+        rep = analysis.check_hypotheses(g)
+        assert rep.loose_cut_bound_applies and rep.three_component_cut_exists is None
 
     def test_component_searches_on_ring(self, monkeypatch):
         """A ring of three C4-free 4-regular blocks has kappa = 2, so the

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bchromatic import analysis, constructive as con, exact_oracle as eo, graph_core as gc
 from bchromatic.matching import HallViolator
+from tests.test_analysis import c4_free_ring
 
 
 def assert_outcome_ok(g, outcome, exact_colors=None, min_colors=None):
@@ -454,6 +455,22 @@ class TestConnectivityStrategy:
         sep = set(cert.separator)
         for plan in out.plans:
             assert not (g.neighbor_sets[plan.center] & sep)
+
+    def test_even_degree_ring(self):
+        """d = 4, kappa = 2: the colours split 3 + 2 between the two sides."""
+        g = c4_free_ring()
+        out = con.construct_connectivity_bcoloring(g)
+        assert out.strategy == "connectivity"
+        assert_outcome_ok(g, out, exact_colors=5)
+        assert [con.realized_targets(p, 4) for p in out.plans] == [(1, 2, 3), (4, 5)]
+
+    def test_degree_at_most_two_small_case(self):
+        triangles = gc.disjoint_union(gc.generate_cycle(3), gc.generate_cycle(3))
+        k2 = gc.Graph.from_edges(2, [(0, 1)])
+        for g, colors in ((triangles, 3), (k2, 2)):
+            out = con.construct_connectivity_bcoloring(g)
+            assert out.strategy == "small-case"
+            assert_outcome_ok(g, out, exact_colors=colors)
 
     def test_high_connectivity_rejected(self, petersen, heawood):
         with pytest.raises(con.HypothesisRejection):
