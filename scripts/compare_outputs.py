@@ -3,9 +3,10 @@
 Usage: python3 scripts/compare_outputs.py OTHER_SRC [--count N]
 
 OTHER_SRC is the `src` directory of another checkout, for example the parent
-commit's. Builds a fixed corpus in-process from graph_core: Petersen,
-two and three disjoint copies of Petersen (kappa = 0, the second with three
-components), Heawood, cubic chains of 2-5 beads, the bridge pair,
+commit's. Builds a fixed corpus in-process from graph_core: the cycles C5
+and C7 (d = 2, the small case), Petersen, two and three disjoint copies of
+Petersen (kappa = 0, the second with three components), Heawood, cubic
+chains of 2-5 beads, the bridge pair,
 generalized Petersen graphs, N graphs random:d,n for each d = 3-5, and N
 rings of three random C4-free 4-regular blocks. Each graph's edge-list text
 is the stdin of `color` with every strategy (auto included) and of `analyze`
@@ -58,7 +59,8 @@ def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
 
 def corpus(count: int) -> dict[str, gc.Graph]:
     petersen = gc.generate_petersen()
-    graphs = {"petersen": petersen, "heawood": gc.generate_heawood()}
+    graphs = {f"cycle:{n}": gc.generate_cycle(n) for n in (5, 7)}
+    graphs |= {"petersen": petersen, "heawood": gc.generate_heawood()}
     graphs["petersen*2"] = gc.disjoint_union(petersen, petersen)
     graphs["petersen*3"] = gc.disjoint_union(graphs["petersen*2"], petersen)
     graphs |= {f"chain:{b}": gc.generate_cubic_chain(b) for b in range(2, 6)}

@@ -6,17 +6,21 @@ and the combined hypothesis report that gates the coloring strategies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import combinations
 from collections import deque
 
+from bchromatic import constructive
 from bchromatic.graph_core import CeilingExceeded, Graph
 
 # five_cycle_stats enumerates every 5-cycle; refuse beyond this many vertices
 FIVE_CYCLE_VERTEX_CEILING = 200
 
-# three_component_cut_exists reads unknown (None) beyond this many kappa-subsets
-_SEPARATOR_SWEEP_BUDGET = 250_000
+# search nodes of the packing search (_max_compatible) per five_cycle_stats
+# call; past it the packing counts read None. Over 5 times the most that a
+# test graph needs (9,732 on a random:6,48) and 44 times the most that a
+# benchmark graph needs (1,116); Hoffman-Singleton needs 1,082,291
+_PACKING_NODE_BUDGET = 50_000
 
 # sources per bit-parallel BFS batch in diameter; each of its two lists of
 # masks takes about n * _BFS_BATCH / 8 bytes
@@ -187,17 +191,11 @@ class CutCertificate:
     components lists the connected components of the graph minus the
     separator, each sorted, ordered by smallest member. Complete graphs use
     the convention kappa = n - 1, separator = all but vertex 0.
-
-    three_way_cut says whether some kappa-separator leaves three or more
-    components: for kappa = 0 whether g has three or more components, for
-    1 <= kappa <= 2 below the largest degree from the separator sweep's
-    listing. It is None elsewhere, and equality ignores it.
     """
 
     kappa: int
     separator: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
-    three_way_cut: bool | None = field(default=None, compare=False)
 
 
 def _split_graph(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
@@ -321,14 +319,13 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     above. By Menger's theorem a pair that no kappa-separator splits has
     local connectivity at least kappa + 1, so its capped flow would find no
     cut and settle nothing; only the pairs some separator splits run one.
-    The same listing gives three_way_cut.
     """
     n = g.vertex_count
     if n == 0:
         return CutCertificate(0, (), ())
     comps = connected_components(g)
     if len(comps) > 1:
-        return CutCertificate(0, (), comps, len(comps) >= 3)
+        return CutCertificate(0, (), comps)
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     split = _split_graph(g)
@@ -351,10 +348,8 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
             return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
         if best == 2:
             listing = [pieces for x in range(n) for pieces in _cut_vertex_pieces(g, (x,))]
-    three_way = None
     apart = [(1 << n) - 1] * n  # apart[s]: the sinks whose flow from s may find a cut
     if best <= 2:
-        three_way = any(len(pieces) >= 3 for pieces in listing)
         apart = [0] * n
         for pieces in listing:
             whole = sum(pieces)
@@ -376,9 +371,7 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
                 for x in beyond:
                     settled[x] = True
     separator = min(cuts)
-    return CutCertificate(
-        best, separator, connected_components(g, frozenset(separator)), three_way
-    )
+    return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
 
 
 @dataclass(frozen=True)
@@ -390,13 +383,14 @@ class FiveCycleStats:
     of the graph, zero included. max_edge_disjoint[e] is the largest family of
     5-cycles through e whose pairwise intersection is exactly e;
     max_path_disjoint does the same for 2-paths keyed (endpoint, midpoint,
-    endpoint) with sorted endpoints.
+    endpoint) with sorted endpoints. Both packing maps are None when their
+    search passes _PACKING_NODE_BUDGET nodes.
     """
 
     cycles: tuple[tuple[int, int, int, int, int], ...]
     per_edge_count: dict[tuple[int, int], int]
-    max_edge_disjoint: dict[tuple[int, int], int]
-    max_path_disjoint: dict[tuple[int, int, int], int]
+    max_edge_disjoint: dict[tuple[int, int], int] | None
+    max_path_disjoint: dict[tuple[int, int, int], int] | None
 
     @property
     def cycle_count(self) -> int:
@@ -424,9 +418,11 @@ def _enumerate_five_cycles(g: Graph) -> list[tuple[int, int, int, int, int]]:
     return cycles
 
 
-def _max_compatible(items: list[frozenset[int]], core_size: int) -> int:
+def _max_compatible(items: list[frozenset[int]], core_size: int, nodes: list[int]) -> int:
     """Largest subfamily whose pairwise intersections have exactly core_size
-    vertices (the shared edge or path all of them contain)."""
+    vertices (the shared edge or path all of them contain). nodes[0] counts
+    the search nodes across calls; past _PACKING_NODE_BUDGET the search
+    raises CeilingExceeded."""
     m = len(items)
     conflict: list[set[int]] = [set() for _ in range(m)]
     for i in range(m):
@@ -436,6 +432,9 @@ def _max_compatible(items: list[frozenset[int]], core_size: int) -> int:
                 conflict[j].add(i)
 
     def rec(avail: frozenset[int]) -> int:
+        nodes[0] += 1
+        if nodes[0] > _PACKING_NODE_BUDGET:
+            raise CeilingExceeded(f"packing search passed {_PACKING_NODE_BUDGET} nodes")
         if not avail:
             return 0
         v = max(avail, key=lambda x: len(conflict[x] & avail))
@@ -475,21 +474,35 @@ def five_cycle_stats(g: Graph) -> FiveCycleStats:
             key = (min(a, b), mid, max(a, b))
             by_path[key].append(idx)
     vertex_sets = [frozenset(c) for c in cycles]
-    max_edge = {
-        e: _max_compatible([vertex_sets[i] for i in ids], 2)
-        for e, ids in by_edge.items()
-    }
-    max_path = {
-        p: _max_compatible([vertex_sets[i] for i in ids], 3)
-        for p, ids in by_path.items()
-    }
+    nodes = [0]
+    try:
+        max_edge = {
+            e: _max_compatible([vertex_sets[i] for i in ids], 2, nodes)
+            for e, ids in by_edge.items()
+        }
+        max_path = {
+            p: _max_compatible([vertex_sets[i] for i in ids], 3, nodes)
+            for p, ids in by_path.items()
+        }
+    except CeilingExceeded:
+        return FiveCycleStats(tuple(cycles), per_edge, None, None)
     return FiveCycleStats(tuple(cycles), per_edge, max_edge, max_path)
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """Which coloring routes apply to a graph, with the structural facts
-    behind each gate and the implied bounds on the b-chromatic number."""
+    behind each gate and the bounds on the b-chromatic number.
+
+    full_seed_center is the first center whose full seeding verifies, the
+    one construct_full_seed_bcoloring colors from; None when no center
+    works, for d <= 2 and on ineligible graphs. phi_lower_bound holds only
+    what a route certifies: d+1 where the small case (d <= 2), a full-seed
+    center, the diameter route or the small-cut route applies, otherwise
+    lower_bound_colors. The five-cycle predicates are reported facts and
+    raise no bound. An ineligible graph (not regular, or with a 4-cycle)
+    gets 1, or 0 when empty. phi_upper_bound is the maximum degree + 1.
+    """
 
     vertices: int
     edges: int
@@ -510,11 +523,9 @@ class HypothesisReport:
     five_cycle_count_witness: int | None
     five_cycle_packing_vertex_exists: bool | None
     five_cycle_packing_witness: int | None
+    full_seed_center: int | None
     diameter_route_applies: bool
     small_cut_route_applies: bool
-    loose_cut_bound_applies: bool
-    loose_cut_bound_colors: int | None
-    three_component_cut_exists: bool | None
     phi_lower_bound: int
     phi_upper_bound: int
 
@@ -576,22 +587,6 @@ def _cut_vertex_pieces(g: Graph, removed: tuple[int, ...]) -> list[list[int]]:
     return [cut_off for cut_off in pieces.values() if len(cut_off) >= 2]
 
 
-def _three_component_separator_exists(g: Graph, kappa: int) -> bool:
-    """Whether some separator of size exactly kappa >= 1 splits g into >= 3
-    components.
-
-    S = X + {y} is such a separator exactly when y splits g - X into >= 3
-    pieces, and g - X is connected because |X| < kappa. So one DFS per
-    (kappa - 1)-subset X finds the articulation points that split three ways
-    (_cut_vertex_pieces), in place of one component search per kappa-subset.
-    """
-    return any(
-        len(pieces) >= 3
-        for x in combinations(range(g.vertex_count), kappa - 1)
-        for pieces in _cut_vertex_pieces(g, x)
-    )
-
-
 def check_hypotheses(g: Graph) -> HypothesisReport:
     """Evaluate every coloring-route hypothesis on g.
 
@@ -600,7 +595,9 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     incident edges and 2-paths through v pack at most (d-2)/2 mutually
     edge/path-anchored five-cycles (packing route); the threshold relaxes to
     (d-1)/2 when the girth is exactly 5. They are None when the graph is not
-    regular and C4-free, or beyond the enumeration ceiling.
+    regular and C4-free, or beyond the enumeration ceiling; the packing
+    predicate also when its search passes _PACKING_NODE_BUDGET nodes.
+    phi_lower_bound follows the routes alone (see HypothesisReport).
     """
     d = is_regular(g)
     c4 = find_four_cycle(g)
@@ -621,11 +618,13 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     if eligible and n <= FIVE_CYCLE_VERTEX_CEILING:
         assert d is not None
         stats = five_cycle_stats(g)
+        packed = stats.max_edge_disjoint is not None
         # integer threshold: count <= (d-2)/2, or (d-1)/2 at girth 5
         slack = (d - 1) if gr == 5 else (d - 2)
-        count_exists = packing_exists = False
+        count_exists = False
+        packing_exists = False if packed else None
         paths_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for key in stats.max_path_disjoint:
+        for key in stats.max_path_disjoint or ():
             for x in key:
                 paths_at[x].append(key)
         for v in range(n):
@@ -634,35 +633,26 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
                 count_exists = True
                 if count_witness is None:
                     count_witness = v
-            if all(2 * stats.max_edge_disjoint[e] <= slack for e in edges_v) and all(
-                2 * stats.max_path_disjoint[p] <= slack for p in paths_at[v]
-            ):
+            if packed and all(
+                2 * stats.max_edge_disjoint[e] <= slack for e in edges_v
+            ) and all(2 * stats.max_path_disjoint[p] <= slack for p in paths_at[v]):
                 packing_exists = True
                 if packing_witness is None:
                     packing_witness = v
 
     diameter_route = eligible and diam >= 6
     small_cut_route = eligible and 2 * cert.kappa <= (d + 1 if d is not None else 0)
-    loose_cut = eligible and d is not None and 3 * cert.kappa < 2 * d - 1
-    loose_colors = min(2 * ((d + 4) // 3), d + 1) if loose_cut else None
-    three_comp = None
-    if loose_cut and math.comb(n, cert.kappa) <= _SEPARATOR_SWEEP_BUDGET:
-        three_comp = cert.three_way_cut
-        if three_comp is None:  # kappa >= 3: vertex_connectivity lists no separators
-            three_comp = _three_component_separator_exists(g, cert.kappa)
-
+    full_seed_center = None
     phi_upper = 0 if n == 0 else g.max_degree() + 1
     phi_lower = 0 if n == 0 else 1
     if eligible:
         assert d is not None and lower_colors is not None
-        phi_lower = max(phi_lower, lower_colors)
-        if count_exists or packing_exists or diameter_route or small_cut_route:
-            phi_lower = max(phi_lower, d + 1)
-        if loose_cut:
-            assert loose_colors is not None
-            phi_lower = max(phi_lower, loose_colors)
-            if three_comp:
-                phi_lower = max(phi_lower, d + 1)
+        if d >= 3:
+            found = constructive._first_full_seed(g, d, None)
+            if isinstance(found, tuple):
+                full_seed_center = found[0]
+        certified = d <= 2 or full_seed_center is not None or diameter_route or small_cut_route
+        phi_lower = d + 1 if certified else lower_colors
 
     return HypothesisReport(
         vertices=n,
@@ -684,12 +674,9 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
         five_cycle_count_witness=count_witness,
         five_cycle_packing_vertex_exists=packing_exists,
         five_cycle_packing_witness=packing_witness,
+        full_seed_center=full_seed_center,
         diameter_route_applies=diameter_route,
         small_cut_route_applies=small_cut_route,
-        loose_cut_bound_applies=loose_cut,
-        loose_cut_bound_colors=loose_colors,
-        three_component_cut_exists=three_comp,
         phi_lower_bound=phi_lower,
         phi_upper_bound=phi_upper,
     )
-

@@ -811,6 +811,18 @@ def _full_seed_at(
     return outcome
 
 
+def _first_full_seed(
+    g: Graph, d: int, trace: ConstructionTrace | None
+) -> tuple[int, ConstructionOutcome] | HallViolator:
+    # the first center whose full seeding verifies, with its outcome, or the
+    # Hall violator that rejects the last center; g is gated and d >= 3
+    for center in range(g.vertex_count):
+        found = _full_seed_at(g, d, center, trace)
+        if isinstance(found, ConstructionOutcome):
+            return center, found
+    return found
+
+
 def construct_full_seed_bcoloring(
     g: Graph, trace: ConstructionTrace | None = None
 ) -> ConstructionOutcome:
@@ -837,17 +849,13 @@ def construct_full_seed_bcoloring(
     d = _gate_regular_c4_free(g)
     if d <= 2:
         return _small_case(g, d)
-    violator = None
-    for center in range(g.vertex_count):
-        found = _full_seed_at(g, d, center, trace)
-        if isinstance(found, ConstructionOutcome):
-            return found
-        violator = found
-    assert violator is not None
+    found = _first_full_seed(g, d, trace)
+    if isinstance(found, tuple):
+        return found[1]
     raise HypothesisRejection(
         f"no center's rings all have color matchings: {g.vertex_count} centers tried, "
-        f"the last ring's Hall violator of size {len(violator.left_subset)} can take "
-        f"{len(violator.neighborhood)} colors"
+        f"the last ring's Hall violator of size {len(found.left_subset)} can take "
+        f"{len(found.neighborhood)} colors"
     )
 
 

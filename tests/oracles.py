@@ -215,21 +215,6 @@ def sweep_vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...], tuple[tup
     return (best, separator, _components(g, frozenset(separator)))
 
 
-def brute_three_component_separator(g: Graph, kappa: int, budget: int = 250_000) -> bool | None:
-    """Whether some kappa-subset of the vertices leaves >= 3 components, by
-    one component search per subset; None when there are more than budget
-    subsets."""
-    n = g.vertex_count
-    if kappa == 0:
-        return len(_components(g)) >= 3
-    if math.comb(n, kappa) > budget:
-        return None
-    for subset in itertools.combinations(range(n), kappa):
-        if len(_components(g, frozenset(subset))) >= 3:
-            return True
-    return False
-
-
 def brute_five_cycle_count(g: Graph) -> int:
     """Count 5-cycles as the number of closed 5-walks on distinct vertices,
     canonicalized by smallest start and direction."""

@@ -450,61 +450,14 @@ class TestVertexConnectivity:
 
     def test_one_dfs_per_subset_in_analyze(self, monkeypatch, capsys):
         """analyze on a kappa = 2 ring runs the cut-vertex DFS once on the
-        whole graph (no cut vertex, so kappa >= 2) and then once per vertex:
-        the listing serves both the sweep and three_component_cut_exists."""
+        whole graph (no cut vertex, so kappa >= 2) and then once per vertex,
+        for the sweep's separator listing, and nowhere else."""
         g = c4_free_ring()
         dfs = count_calls(monkeypatch, analysis, "_cut_vertex_pieces")
         monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
         assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["kappa"] == 2 and payload["three_component_cut_exists"] is False
+        assert json.loads(capsys.readouterr().out)["kappa"] == 2
         assert dfs[0] == 1 + g.vertex_count
-
-
-class TestThreeComponentSeparator:
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_matches_subset_sweep(self, data):
-        """The listing helper, and three_way_cut wherever the certificate
-        carries it, agree with one component search per kappa-subset."""
-        g = hub_graph(data)
-        kappa = oracles.sweep_vertex_connectivity(g)[0]
-        brute = oracles.brute_three_component_separator(g, kappa)
-        if kappa >= 1:
-            assert analysis._three_component_separator_exists(g, kappa) == brute
-        three_way = analysis.vertex_connectivity(g).three_way_cut
-        assert three_way is None or three_way == brute
-
-    def test_known_cases(self):
-        bridge_pair = gc.generate_cubic_bridge_pair()
-        claw = gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert analysis.vertex_connectivity(bridge_pair).kappa == 1
-        for g, expected in ((bridge_pair, False), (claw, True)):
-            assert analysis._three_component_separator_exists(g, 1) is expected
-            assert analysis.vertex_connectivity(g).three_way_cut is expected
-            assert oracles.brute_three_component_separator(g, 1) is expected
-
-    def test_unknown_beyond_budget(self, monkeypatch):
-        """The bridge pair (n = 24, kappa = 1) has C(24, 1) = 24 separator
-        candidates: a budget of 23 makes three_component_cut_exists null."""
-        g = gc.generate_cubic_bridge_pair()
-        assert analysis.check_hypotheses(g).three_component_cut_exists is False
-        monkeypatch.setattr(analysis, "_SEPARATOR_SWEEP_BUDGET", 23)
-        rep = analysis.check_hypotheses(g)
-        assert rep.loose_cut_bound_applies and rep.three_component_cut_exists is None
-
-    def test_component_searches_on_ring(self, monkeypatch):
-        """A ring of three C4-free 4-regular blocks has kappa = 2, so the
-        loose-cut bound applies and the three-component check runs; it
-        needs no component search beyond the two of vertex_connectivity."""
-        g = compare_outputs.ring_of_blocks(
-            [gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)]
-        )
-        searches = count_calls(monkeypatch, analysis, "connected_components")
-        rep = analysis.check_hypotheses(g)
-        assert rep.kappa == 2 and rep.loose_cut_bound_applies
-        assert rep.three_component_cut_exists is False
-        assert searches[0] <= 3
 
 
 class TestFiveCycles:
@@ -552,13 +505,51 @@ class TestHypothesisReport:
         assert rep.lower_bound_applies and rep.lower_bound_colors == 3
         assert not rep.diameter_route_applies
         assert not rep.small_cut_route_applies
-        assert not rep.five_cycle_count_vertex_exists
+        assert not rep.five_cycle_count_vertex_exists and rep.full_seed_center is None
         assert rep.phi_lower_bound == 3 and rep.phi_upper_bound == 4
+
+    def test_c5_small_case(self):
+        """d = 2: auto and the full-seed route return the small case with 3
+        colours, though no full-seed center exists and the five-cycle
+        predicates fail."""
+        rep = analysis.check_hypotheses(gc.generate_cycle(5))
+        assert rep.lower_bound_colors == 2 and not rep.five_cycle_count_vertex_exists
+        assert rep.full_seed_center is None and rep.phi_lower_bound == 3
 
     def test_chain_report(self):
         rep = analysis.check_hypotheses(gc.generate_cubic_chain(3))
         assert rep.diameter_route_applies and rep.small_cut_route_applies
+        assert rep.full_seed_center == 0
         assert rep.phi_lower_bound == 4 == rep.phi_upper_bound
+
+    def test_component_searches_on_ring(self, monkeypatch):
+        """A ring of three C4-free 4-regular blocks has kappa = 2; the report
+        needs no component search beyond the two of vertex_connectivity."""
+        g = compare_outputs.ring_of_blocks(
+            [gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)]
+        )
+        searches = count_calls(monkeypatch, analysis, "connected_components")
+        rep = analysis.check_hypotheses(g)
+        assert rep.kappa == 2 and rep.small_cut_route_applies
+        assert searches[0] <= 3
+
+    def test_packing_search_past_budget(self, monkeypatch, petersen, capsys):
+        """Past the packing search's node budget both packing fields read
+        null, the count fields stay, and analyze still exits 0."""
+        rep = analysis.check_hypotheses(petersen)
+        assert rep.five_cycle_packing_vertex_exists is False
+        monkeypatch.setattr(analysis, "_PACKING_NODE_BUDGET", 10)
+        stats = analysis.five_cycle_stats(petersen)
+        assert stats.max_edge_disjoint is None and stats.max_path_disjoint is None
+        assert stats.cycle_count == 12
+        monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(petersen)))
+        assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["five_cycle_packing_vertex_exists"] is None
+        assert payload["five_cycle_packing_witness"] is None
+        for name in ("five_cycle_count_vertex_exists", "five_cycle_count_witness",
+                     "phi_lower_bound"):
+            assert payload[name] == getattr(rep, name)
 
     def test_irregular_graph_not_eligible(self):
         rep = analysis.check_hypotheses(gc.Graph.from_edges(3, [(0, 1)]))

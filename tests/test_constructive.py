@@ -369,7 +369,10 @@ NEAR_FLOOR_SIZES = {3: (10, 12, 14), 4: (16, 18, 20), 5: (28, 30, 32), 6: (46, 4
 
 class TestAutoReachesTheReportedBound:
     """Auto emits at least the analysis' phi_lower_bound, and where the
-    exhaustive search runs (n <= 24) exactly phi."""
+    exhaustive search runs (n <= 24) exactly phi. The bound is d+1 exactly
+    where auto certifies d+1 by a route other than the lower bound, and
+    otherwise the lower-bound route's count. A five-cycle predicate that
+    holds at d >= 3 comes with a full-seed center."""
 
     def check(self, g):
         rep = analysis.check_hypotheses(g)
@@ -381,6 +384,11 @@ class TestAutoReachesTheReportedBound:
         used = len(out.report.used_colors)
         assert out.report.is_b_coloring
         assert used >= rep.phi_lower_bound, (out.strategy, used, rep.phi_lower_bound)
+        d = rep.regular_degree
+        expected = rep.lower_bound_colors if out.strategy == "lower-bound" else d + 1
+        assert rep.phi_lower_bound == expected, (out.strategy, rep.phi_lower_bound)
+        if d >= 3 and (rep.five_cycle_count_vertex_exists or rep.five_cycle_packing_vertex_exists):
+            assert rep.full_seed_center is not None
         if g.vertex_count <= eo.DEFAULT_VERTEX_CEILING:
             assert used == eo.exact_b_chromatic(g).phi, out.strategy
 
