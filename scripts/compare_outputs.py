@@ -9,9 +9,11 @@ Petersen (kappa = 0, the second with three components), Heawood, cubic
 chains of 2-5 beads, the bridge pair,
 generalized Petersen graphs, N graphs random:d,n for each d = 3-5, and N
 rings of three random C4-free 4-regular blocks. Each graph's edge-list text
-is the stdin of `color` with every strategy (auto included) and of `analyze`
-with text and JSON output. `generate --input random:d,n --seed s` runs for the same N
-seeds at each size of RANDOM_SIZES and at random:3,2000.
+is the stdin of `color` with every strategy (auto included), of `analyze`
+with text and JSON output, and of `exact` (graphs above its 24-vertex
+ceiling exit 2 at once), and its DIMACS text is the stdin of `analyze
+--format dimacs --output json`. `generate --input random:d,n --seed s` runs
+for the same N seeds at each size of RANDOM_SIZES and at random:3,2000.
 
 Each tree runs all the cases in one child interpreter, started with the
 tree's `src` first on the path. The child calls `bchromatic.cli.main(argv)`
@@ -38,6 +40,7 @@ OWN_SRC = Path(__file__).resolve().parent.parent / "src"
 COMMANDS = [["color", "--strategy", s] for s in STRATEGIES] + [
     ["analyze", "--output", "text"],
     ["analyze", "--output", "json"],
+    ["exact"],
 ]
 
 RANDOM_SIZES = {3: 30, 4: 40, 5: 50}
@@ -55,6 +58,13 @@ def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
         shift += block.vertex_count
     edges += [(ends[i][1], ends[(i + 1) % len(ends)][0]) for i in range(len(ends))]
     return gc.Graph.from_edges(shift, edges)
+
+
+def dimacs_text(g: gc.Graph) -> str:
+    """g as DIMACS .col text, whose vertices are 1-based."""
+    lines = [f"p edge {g.vertex_count} {g.edge_count}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
 
 
 def corpus(count: int) -> dict[str, gc.Graph]:
@@ -113,10 +123,16 @@ def main() -> int:
                         help="seeds per random kind of graph")
     args = parser.parse_args()
 
+    graphs = corpus(args.count)
     cases = [
         (name, [*argv, "--input", "-"], gc.serialize_edge_list(g))
-        for name, g in corpus(args.count).items()
+        for name, g in graphs.items()
         for argv in COMMANDS
+    ]
+    cases += [
+        (name, ["analyze", "--format", "dimacs", "--output", "json", "--input", "-"],
+         dimacs_text(g))
+        for name, g in graphs.items()
     ]
     cases += [
         (f"random:{d},{n}/{seed}",

@@ -54,13 +54,12 @@ def main() -> None:
     print("-" * len(header))
     for name, g in build_instances(args.seed):
         rep = analysis.check_hypotheses(g)
-        diam = "inf" if rep.diameter is None else rep.diameter
         exact = "-"
         if g.vertex_count <= eo.DEFAULT_VERTEX_CEILING:
             exact = str(eo.exact_b_chromatic(g).phi)
         print(
             f"{name:<16} {g.vertex_count:>3} {rep.regular_degree:>2} "
-            f"{rep.girth:>5} {diam:>4} {rep.kappa:>5} {rep.lower_bound_colors:>5} "
+            f"{rep.girth:>5} {rep.diameter:>4} {rep.kappa:>5} {rep.lower_bound_colors:>5} "
             f"{try_route(con.construct_full_seed_bcoloring, g):>5} "
             f"{try_route(con.construct_lower_bound_bcoloring, g):>5} "
             f"{try_route(con.construct_diameter_bcoloring, g):>5} "

@@ -608,45 +608,40 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     n = g.vertex_count
 
     eligible = d is not None and c4 is None
-    lower_colors = None
-    if eligible:
-        assert d is not None
-        lower_colors = (d + 4) // 2 if tri is not None else (d + 3) // 2
-
+    lower_colors = full_seed_center = None
     count_exists = packing_exists = None
     count_witness = packing_witness = None
-    if eligible and n <= FIVE_CYCLE_VERTEX_CEILING:
-        assert d is not None
-        stats = five_cycle_stats(g)
-        packed = stats.max_edge_disjoint is not None
-        # integer threshold: count <= (d-2)/2, or (d-1)/2 at girth 5
-        slack = (d - 1) if gr == 5 else (d - 2)
-        count_exists = False
-        packing_exists = False if packed else None
-        paths_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for key in stats.max_path_disjoint or ():
-            for x in key:
-                paths_at[x].append(key)
-        for v in range(n):
-            edges_v = [(min(v, u), max(v, u)) for u in g.adjacency[v]]
-            if all(2 * stats.per_edge_count[e] <= slack for e in edges_v):
-                count_exists = True
-                if count_witness is None:
-                    count_witness = v
-            if packed and all(
-                2 * stats.max_edge_disjoint[e] <= slack for e in edges_v
-            ) and all(2 * stats.max_path_disjoint[p] <= slack for p in paths_at[v]):
-                packing_exists = True
-                if packing_witness is None:
-                    packing_witness = v
-
-    diameter_route = eligible and diam >= 6
-    small_cut_route = eligible and 2 * cert.kappa <= (d + 1 if d is not None else 0)
-    full_seed_center = None
+    diameter_route = small_cut_route = False
     phi_upper = 0 if n == 0 else g.max_degree() + 1
     phi_lower = 0 if n == 0 else 1
     if eligible:
-        assert d is not None and lower_colors is not None
+        assert d is not None
+        lower_colors = (d + 4) // 2 if tri is not None else (d + 3) // 2
+        if n <= FIVE_CYCLE_VERTEX_CEILING:
+            stats = five_cycle_stats(g)
+            packed = stats.max_edge_disjoint is not None
+            # integer threshold: count <= (d-2)/2, or (d-1)/2 at girth 5
+            slack = (d - 1) if gr == 5 else (d - 2)
+            count_exists = False
+            packing_exists = False if packed else None
+            paths_at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+            for key in stats.max_path_disjoint or ():
+                for x in key:
+                    paths_at[x].append(key)
+            for v in range(n):
+                edges_v = [(min(v, u), max(v, u)) for u in g.adjacency[v]]
+                if all(2 * stats.per_edge_count[e] <= slack for e in edges_v):
+                    count_exists = True
+                    if count_witness is None:
+                        count_witness = v
+                if packed and all(
+                    2 * stats.max_edge_disjoint[e] <= slack for e in edges_v
+                ) and all(2 * stats.max_path_disjoint[p] <= slack for p in paths_at[v]):
+                    packing_exists = True
+                    if packing_witness is None:
+                        packing_witness = v
+        diameter_route = diam >= 6
+        small_cut_route = 2 * cert.kappa <= d + 1
         if d >= 3:
             found = constructive._first_full_seed(g, d, None)
             if isinstance(found, tuple):

@@ -18,7 +18,6 @@ import traceback
 from bchromatic import analysis
 from bchromatic.constructive import (
     Coloring,
-    ConstructionInvariantError,
     ConstructionOutcome,
     HypothesisRejection,
     construct_auto_bcoloring,
@@ -219,8 +218,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         raise ValueError("certificate must be an object with palette and assignment")
     palette = payload["palette"]
     assignment = payload["assignment"]
-    if not isinstance(palette, int) or not isinstance(assignment, list) or not all(
-        isinstance(c, int) for c in assignment
+    # type(x) is int: JSON true and false load as bool, a subclass of int
+    if type(palette) is not int or not isinstance(assignment, list) or not all(
+        type(c) is int for c in assignment
     ):
         raise ValueError("palette must be an integer and assignment a list of integers")
     if palette < 0 or not all(1 <= c <= palette for c in assignment):
@@ -255,9 +255,6 @@ def main(argv: list[str] | None = None) -> int:
     except (HypothesisRejection, GenerationError, CeilingExceeded) as exc:
         print(f"bchromatic: {exc}", file=sys.stderr)
         return 2
-    except (ConstructionInvariantError, AssertionError):
-        traceback.print_exc()
-        return 3
     except (OSError, ValueError) as exc:
         print(f"bchromatic: {exc}", file=sys.stderr)
         return 1

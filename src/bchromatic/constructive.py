@@ -35,12 +35,8 @@ class ConstructionInvariantError(RuntimeError):
     """A guarantee the construction relies on failed at runtime.
 
     Signals an implementation bug or a precondition violation that slipped
-    past the gates; carries the Hall violator when a ring matching failed.
+    past the gates.
     """
-
-    def __init__(self, message: str, hall_violator: HallViolator | None = None) -> None:
-        super().__init__(message)
-        self.hall_violator = hall_violator
 
 
 # ----------------------------------------------------------------------------
@@ -175,13 +171,18 @@ def color_map_realizing(target: tuple[int, ...] | list[int], d: int) -> tuple[in
     return tuple(sigma)
 
 
-def _check_seed_site(g: Graph, center: int) -> int:
-    """A cheap O(d^2) sanity check of the seeding site, not the seeding's full
-    precondition: every neighbor of the center has the center's degree
-    d >= 3, and no two neighbors share a vertex other than the center, so no
-    4-cycle passes through it. The ring counting of
+def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
+    """Check every plan invariant against g; returns the degree d.
+
+    The caller must pass a gated graph (regular, no 4-cycle). Of the graph
+    this checks only the seeding site, in O(d^2), as a cheap sanity check and
+    not the seeding's full precondition: every neighbor of the center has the
+    center's degree d >= 3, and no two neighbors share a vertex other than
+    the center, so no 4-cycle passes through it. The ring counting of
     seed_dominating_neighborhood also needs the graph regular and C4-free
-    away from the center, which only the gate checks. Returns d."""
+    away from the center, which only the gate checks.
+    """
+    center = plan.center
     d = g.degree(center)
     if d < 3:
         raise ValueError("seeding requires degree at least 3")
@@ -194,19 +195,7 @@ def _check_seed_site(g: Graph, center: int) -> int:
                 raise ValueError(f"a 4-cycle passes through center {center}")
             if x != center:
                 seen.add(x)
-    return d
-
-
-def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
-    """Check every plan invariant against g; returns the degree d.
-
-    The caller must pass a gated graph (regular, no 4-cycle). Of the graph
-    this checks only the seeding site, as a cheap sanity check (see
-    _check_seed_site): the center's neighbors have degree d and no 4-cycle
-    passes through the center.
-    """
-    d = _check_seed_site(g, plan.center)
-    if tuple(sorted(plan.ordered_neighbors)) != g.adjacency[plan.center]:
+    if tuple(sorted(plan.ordered_neighbors)) != g.adjacency[center]:
         raise ValueError("ordered_neighbors is not a permutation of the center's neighborhood")
     if sorted(plan.color_map) != list(range(1, d + 2)):
         raise ValueError("color_map is not a bijection on 1..d+1")
@@ -224,7 +213,7 @@ def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
             )
     elif d % 2 and plan.steps == (d + 1) // 2:
         pivot = plan.ordered_neighbors[plan.steps - 1]
-        if g.neighbor_sets[pivot] & g.neighbor_sets[plan.center]:
+        if g.neighbor_sets[pivot] & g.neighbor_sets[center]:
             raise ValueError(
                 "with a full odd-degree seeding the last step neighbor must have "
                 "no neighbors inside the center's neighborhood"
@@ -399,16 +388,17 @@ def seed_dominating_neighborhood(
     plan_seed has. Works canonically (center d+1, j-th neighbor j; see
     _seed_rings) and applies the plan's color_map at the end. Every counting
     guarantee the inductive argument rests on is asserted at runtime; a
-    failed ring matching raises ConstructionInvariantError carrying the Hall
-    violator. The result is not validated here: greedy_extend, which every
-    route calls next, validates its input.
+    failed ring matching raises ConstructionInvariantError naming the sizes
+    of its Hall violator. The result is not validated here: greedy_extend,
+    which every route calls next, validates its input.
     """
     d = len(plan.ordered_neighbors)
     center = plan.center
     seeded = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, bounded=True)
     if isinstance(seeded, HallViolator):
         raise ConstructionInvariantError(
-            "a ring has no perfect color matching", hall_violator=seeded
+            f"a ring has no perfect color matching: its Hall violator of size "
+            f"{len(seeded.left_subset)} can take {len(seeded.neighborhood)} colors"
         )
     colors, records = seeded
     if trace is not None:
@@ -649,7 +639,10 @@ def construct_lower_bound_bcoloring(
             ns = g.neighbor_sets[v]
             return sum(1 for u in ns for w in g.adjacency[u] if w > u and w in ns)
 
-        center = min(range(g.vertex_count), key=lambda v: (inside_edges(v), v))
+        # without a triangle no neighborhood spans an edge, so vertex 0 wins
+        center = 0 if tri is None else min(
+            range(g.vertex_count), key=lambda v: (inside_edges(v), v)
+        )
         t = (d + 1) // 2
     plan = plan_seed(g, center, t, triangle_mode)
     partial = seed_dominating_neighborhood(g, plan, trace=trace)
@@ -751,32 +744,25 @@ def construct_connectivity_bcoloring(
         )
     separator = set(cert.separator)
     sides = (cert.components[0], cert.components[1])
-    if d % 2 == 0:
-        low = list(range(1, d // 2 + 2))
-    else:
-        low = list(range(1, (d + 1) // 2 + 1))
+    low = list(range(1, d // 2 + 2))
     high = [c for c in range(1, d + 2) if c not in low]
 
     plans = []
     for side, colors in zip(sides, (low, high)):
-        side_set = set(side)
-        anchor = None
-        usable: list[int] = []
-        for a in side:
-            if g.neighbor_sets[a] & separator:
+        steps = len(colors) - 1
+        for anchor in side:
+            if g.neighbor_sets[anchor] & separator:
                 continue
             usable = [
-                x for x in g.adjacency[a] if not (g.neighbor_sets[x] & separator)
+                x for x in g.adjacency[anchor] if not (g.neighbor_sets[x] & separator)
             ]
-            if len(usable) >= len(colors) - 1:
-                anchor = a
+            if len(usable) >= steps:
                 break
-        if anchor is None:
+        else:
             raise ConstructionInvariantError(
                 "no separator-free anchor vertex in a component (degree "
                 f"{d}, separator {sorted(separator)})"
             )
-        steps = len(colors) - 1
         xs = usable[:steps]
         rest = [x for x in g.adjacency[anchor] if x not in set(xs)]
         plan = SeedPlan(
@@ -785,7 +771,7 @@ def construct_connectivity_bcoloring(
             steps=steps,
             color_map=color_map_realizing(colors, d),
         )
-        if not set(g.adjacency[anchor]) <= side_set:
+        if not set(g.adjacency[anchor]) <= set(side):
             raise ConstructionInvariantError(
                 f"anchor {anchor} has neighbors outside its component"
             )

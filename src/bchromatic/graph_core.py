@@ -227,12 +227,7 @@ def parse_dimacs(text: str) -> Graph:
 
 def generate_petersen() -> Graph:
     """Outer 5-cycle 0..4, inner pentagram 5..9, spokes i to i+5."""
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5))
-        edges.append((i + 5, ((i + 2) % 5) + 5))
-        edges.append((i, i + 5))
-    return Graph.from_edges(10, edges)
+    return generate_generalized_petersen(5, 2)
 
 
 def generate_complete_bipartite(d: int) -> Graph:
@@ -546,11 +541,11 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     switches, counts common neighbours once in O(n·d²) memory and time, then
     walks the switch neighbourhood downhill on the 4-cycle score, scoring
     each proposal before applying it, until no 4-cycle remains; a recount
-    from scratch checks the result. Restarts a bounded number of times and
-    raises GenerationError when the budget runs out. Infeasible parameters
-    (odd n*d, or n below the counting floor d*d - d + 1 for d >= 2) are
-    rejected up front, and for d >= 3 so is n above RANDOM_VERTEX_CEILING
-    (CeilingExceeded).
+    from scratch checks the result (AssertionError, a broken invariant, when
+    it fails). Restarts a bounded number of times and raises GenerationError
+    when the budget runs out. Infeasible parameters (odd n*d, or n below the
+    counting floor d*d - d + 1 for d >= 2) are rejected up front, and for
+    d >= 3 so is n above RANDOM_VERTEX_CEILING (CeilingExceeded).
     """
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")
@@ -586,11 +581,14 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
         state.count()
         if _descend(state, rng, attempts):
             g = Graph(state.n, tuple(tuple(sorted(ns)) for ns in state.adj))
-            validate_graph(g)
+            try:
+                validate_graph(g)
+            except ValueError as exc:
+                raise AssertionError(f"internal: {exc}") from exc
             if any(len(ns) != d for ns in state.adj):
-                raise GenerationError("internal: swap search broke regularity")
+                raise AssertionError("internal: swap search broke regularity")
             if any(c >= 2 for c in _common_counts(state.adj).values()):
-                raise GenerationError("internal: swap search left a 4-cycle")
+                raise AssertionError("internal: swap search left a 4-cycle")
             return g
     raise GenerationError(
         f"could not reach a C4-free {d}-regular graph on {n} vertices "

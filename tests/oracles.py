@@ -215,12 +215,12 @@ def sweep_vertex_connectivity(g: Graph) -> tuple[int, tuple[int, ...], tuple[tup
     return (best, separator, _components(g, frozenset(separator)))
 
 
-def brute_five_cycle_count(g: Graph) -> int:
-    """Count 5-cycles as the number of closed 5-walks on distinct vertices,
-    canonicalized by smallest start and direction."""
-    count = 0
-    n = g.vertex_count
-    for subset in itertools.combinations(range(n), 5):
+def brute_five_cycles(g: Graph) -> list[tuple[int, int, int, int, int]]:
+    """Every 5-cycle once, as a closed 5-walk on distinct vertices that
+    starts at its smallest vertex and turns toward the smaller of its two
+    cycle neighbours."""
+    cycles = []
+    for subset in itertools.combinations(range(g.vertex_count), 5):
         s = subset[0]
         rest = subset[1:]
         for perm in itertools.permutations(rest):
@@ -228,8 +228,58 @@ def brute_five_cycle_count(g: Graph) -> int:
                 continue
             walk = (s,) + perm
             if all(g.has_edge(walk[i], walk[(i + 1) % 5]) for i in range(5)):
-                count += 1
-    return count
+                cycles.append(walk)
+    return cycles
+
+
+def brute_five_cycle_count(g: Graph) -> int:
+    return len(brute_five_cycles(g))
+
+
+def brute_five_cycle_packings(
+    g: Graph,
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int, int], int]]:
+    """For each edge (u, v), u < v, and each 2-path (a, m, b), a < b, the
+    largest family of 5-cycles through it whose pairwise common vertices
+    are exactly its own.
+
+    Tries every subfamily of the cycles through it, growing each family one
+    cycle at a time in list order; a family stops growing at its first
+    incompatible pair, since no larger family holding that pair qualifies.
+    """
+    through: dict[tuple[int, ...], list[set[int]]] = {}
+    for walk in brute_five_cycles(g):
+        for w in (walk, walk[::-1]):
+            for i in range(5):
+                a, m, b = w[i], w[(i + 1) % 5], w[(i + 2) % 5]
+                if a < m:
+                    through.setdefault((a, m), []).append(set(walk))
+                if a < b:
+                    through.setdefault((a, m, b), []).append(set(walk))
+
+    def largest(core: tuple[int, ...]) -> int:
+        candidates = through.get(core, [])
+        best = 0
+
+        def grow(start: int, family: list[set[int]]) -> None:
+            nonlocal best
+            best = max(best, len(family))
+            for i in range(start, len(candidates)):
+                if all(candidates[i] & other == set(core) for other in family):
+                    grow(i + 1, family + [candidates[i]])
+
+        grow(0, [])
+        return best
+
+    by_edge = {(u, v): largest((u, v)) for u, v in g.edges()}
+    by_path = {
+        (a, m, b): largest((a, m, b))
+        for m in range(g.vertex_count)
+        for a in g.adjacency[m]
+        for b in g.adjacency[m]
+        if a < b
+    }
+    return by_edge, by_path
 
 
 def brute_matching_exists(left_count: int, right_count: int,

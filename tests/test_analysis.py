@@ -490,6 +490,22 @@ class TestFiveCycles:
         stats = analysis.five_cycle_stats(g)
         assert stats.cycle_count == oracles.brute_five_cycle_count(g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_packings_match_brute(self, data):
+        """Both packing maps against the oracle that tries every family, on
+        5-9 vertices with a uniformly drawn number of edges. Up to 24 edges
+        the search stays far inside its budget."""
+        n = data.draw(st.integers(min_value=5, max_value=9))
+        possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        m = data.draw(st.integers(min_value=0, max_value=min(24, len(possible))))
+        edges = data.draw(st.lists(st.sampled_from(possible), min_size=m, max_size=m, unique=True))
+        g = gc.Graph.from_edges(n, edges)
+        stats = analysis.five_cycle_stats(g)
+        by_edge, by_path = oracles.brute_five_cycle_packings(g)
+        assert stats.max_edge_disjoint == by_edge
+        assert stats.max_path_disjoint == by_path
+
     def test_disjoint_families_are_valid(self, petersen):
         stats = analysis.five_cycle_stats(petersen)
         # every reported per-edge family bound is at most the total count

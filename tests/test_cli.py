@@ -69,6 +69,17 @@ class TestGenerate:
         code, _, _ = run_cli(monkeypatch, capsys, ["generate", "--input", "random:2,4"])
         assert code == 2
 
+    def test_failed_self_check_exits_three(self, monkeypatch, capsys):
+        """A generated graph that fails the generator's own check of it is a
+        bug (exit 3), not bad input (exit 1) nor a search out of budget (exit 2)."""
+        def reject(g):
+            raise ValueError("edge (0, 1) not symmetric")
+
+        monkeypatch.setattr(gc, "validate_graph", reject)
+        code, out, err = run_cli(monkeypatch, capsys, ["generate", "--input", "random:3,10"])
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and "AssertionError: internal: edge (0, 1)" in err
+
     def test_random_above_vertex_ceiling_exits_two(self, monkeypatch, capsys):
         code, _, err = run_cli(
             monkeypatch, capsys, ["generate", "--input", "random:3,100000000"]
@@ -374,11 +385,48 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_boolean_palette_or_color_exits_one(self, monkeypatch, capsys, tmp_path):
+        """JSON true loads as a Python bool, which is an int; it is not a
+        color, nor is it a palette."""
+        path = tmp_path / "k2.txt"
+        path.write_text("2 1\n0 1\n")
+        for payload in (
+            {"palette": 2, "assignment": [True, 2]},
+            {"palette": True, "assignment": [1, 1]},
+            {"palette": 2, "assignment": [False, 2]},
+        ):
+            code, out, err = run_cli(
+                monkeypatch, capsys, ["verify", "--input", str(path)], json.dumps(payload)
+            )
+            assert code == 1 and out == "", out
+            assert "palette must be an integer and assignment a list of integers" in err
+        payload = json.dumps({"palette": 2, "assignment": [1, 2]})
+        code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--input", str(path)], payload)
+        assert code == 0 and "used_colors: [1, 2]" in out
+
     def test_deeply_nested_json_exits_one(self, monkeypatch, capsys, petersen_file):
         code, _, err = run_cli(
             monkeypatch, capsys, ["verify", "--input", petersen_file], "[" * 200_000
         )
         assert code == 1 and "not valid JSON" in err
+
+
+class TestInternalErrors:
+    """Any exception that is not a rejection, a budget or bad input is a
+    broken invariant: exit 3, with the traceback on stderr."""
+
+    @pytest.mark.parametrize("error", [
+        constructive.ConstructionInvariantError("reduction lost a seeded color"),
+        KeyError(7),
+    ], ids=["invariant", "key-error"])
+    def test_exits_three_with_a_traceback(self, monkeypatch, capsys, petersen_file, error):
+        def broken(g, trace=None):
+            raise error
+
+        monkeypatch.setattr(cli, "construct_auto_bcoloring", broken)
+        code, out, err = run_cli(monkeypatch, capsys, ["color", "--input", petersen_file])
+        assert code == 3 and out == ""
+        assert err.startswith("Traceback") and f"{type(error).__name__}: {error}" in err
 
 
 class TestUsageErrors:

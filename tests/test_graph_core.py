@@ -216,7 +216,7 @@ class TestRandomRegularC4Free:
             return -state.score if change > 0 else change
 
         monkeypatch.setattr(gc._SwapState, "score_change", lying)
-        with pytest.raises(gc.GenerationError, match="internal"):
+        with pytest.raises(AssertionError, match="internal"):
             gc.generate_random_c4_free_regular(4, 20, 0)
 
     def test_peak_memory(self):
