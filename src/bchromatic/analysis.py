@@ -275,6 +275,42 @@ def _min_vertex_cut(
     return flow, None, []
 
 
+def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> bool:
+    """Whether cap internally disjoint paths join the non-adjacent s and t,
+    found greedily one at a time, each by a bidirectional BFS (Pohl 1971)
+    that grows the smaller frontier and avoids the inner vertices of the
+    paths found before it. True is exact: by Menger's theorem a flow from s
+    to t capped at cap would reach cap. False may miss paths that exist."""
+    inner: set[int] = set()
+    for _ in range(cap):
+        trees = [{s: -1}, {t: -1}]  # the BFS from each end: vertex -> its parent
+        fronts = [[s], [t]]
+        link = None
+        while link is None:
+            k = len(fronts[1]) < len(fronts[0])
+            own, other = trees[k], trees[not k]
+            grown = []
+            for x in fronts[k]:
+                for y in adj[x]:
+                    if y in own or y in inner:
+                        continue
+                    if y in other:
+                        link = (x, y)
+                        break
+                    own[y] = x
+                    grown.append(y)
+                if link is not None:
+                    break
+            if link is None and not grown:
+                return False
+            fronts[k] = grown
+        for x, tree in zip(link, (own, other)):
+            while tree[x] != -1:
+                inner.add(x)
+                x = tree[x]
+    return True
+
+
 def vertex_connectivity(g: Graph) -> CutCertificate:
     """Exact kappa with a witnessing separator and the split components.
 
@@ -287,18 +323,27 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     capped at the best value so far (Even and Tarjan, SIAM J. Comput. 1975:
     unit flows on the vertex-split graph).
 
+    Most pairs need no flow. Before each capped flow, _disjoint_paths looks
+    for cap internally disjoint paths between the pair; by Menger's theorem
+    finding them means the flow would reach its cap, so it is skipped. Only
+    when the greedy search falls short does the flow run; the split graph
+    of the flows is built at the first one.
+
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
-    is the residual reach of its maximum flow, the source side nearest s.
-    On a d-regular graph with kappa = d that is N(s) for every such pair:
-    the arcs s_out -> x_in, x in N(s), carry capacity n + 1, so every finite
+    is the residual reach of its maximum flow: the minimum s-t separator
+    closest to s, whose side A (the component of s in g minus it) lies
+    inside the side of s of every other minimum s-t separator. On a
+    d-regular graph with kappa = d that is N(s) for every such pair: the
+    arcs s_out -> x_in, x in N(s), carry capacity n + 1, so every finite
     cut's source side holds s_out and all x_in, and that set is already a
     cut of capacity d. The separator is then the smallest sorted N(s) over
     the s with a non-neighbour t > s, and no further flow runs.
 
-    Otherwise the pairs are swept in order, each flow capped at kappa + 1,
-    which keeps exactly the pairs whose local connectivity is kappa. A flow
-    of kappa from s to t, with cut C and A the component of s in g - C,
+    Otherwise the pairs are swept in order. For kappa >= 3 each flow is
+    capped at kappa + 1, which keeps exactly the pairs whose local
+    connectivity is kappa, and is skipped when kappa + 1 disjoint paths
+    join the pair. A flow of kappa from s to t, with cut C and side A,
     settles every later sink t' > s outside A and C: its cut is C too, so
     no flow runs for it. Proof: C separates s from t', so the local
     connectivity of (s, t') is kappa and C is a minimum s-t' separator. The
@@ -311,14 +356,19 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     decides kappa = 1, and then no Esfahanian-Hakimi flow runs. Otherwise
     kappa >= 2, and those flows stop once kappa = 2 is reached.
 
-    For kappa <= 2 the sweep first lists every kappa-separator. A set S of
-    kappa >= 1 vertices is a separator exactly when S = X + {y} with
-    |X| = kappa - 1 and y a cut vertex of g - X: g - X is connected because
-    |X| < kappa, and g - S = (g - X) - y. So one DFS per X gives every
-    separator with the components it leaves; for kappa = 1 that is the DFS
-    above. By Menger's theorem a pair that no kappa-separator splits has
-    local connectivity at least kappa + 1, so its capped flow would find no
-    cut and settle nothing; only the pairs some separator splits run one.
+    For kappa <= 2 the sweep runs no flow: it reads every cut off a listing
+    of the kappa-separators with their pieces (the components they leave).
+    A set S of kappa >= 1 vertices is a separator exactly when S = X + {y}
+    with |X| = kappa - 1 and y a cut vertex of g - X: g - X is connected
+    because |X| < kappa, and g - S = (g - X) - y. So one DFS per X lists
+    them all; for kappa = 1 that is the DFS above. The minimum s-t
+    separators are the listed S with s and t in different pieces, and the
+    closest one is among them the S whose piece holding s is smallest: its
+    side is inside every other one's, so it is the smallest, and another
+    side of that size is the same set, whose neighbours are the same S
+    (each vertex of a minimum separator has a neighbour on the side of s).
+    Taken over the sinks t > s in order, each such cut settles the sinks
+    outside its side and itself, as the flow above does.
     """
     n = g.vertex_count
     if n == 0:
@@ -328,48 +378,62 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
         return CutCertificate(0, (), comps)
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
-    split = _split_graph(g)
+    adj = g.adjacency
+    split = None
+
+    def capped_flow(s: int, t: int, cap: int) -> tuple[int, tuple[int, ...] | None, list[int]]:
+        """_min_vertex_cut(split, s, t, cap), or (cap, None, []) with no
+        flow when cap disjoint paths join s and t."""
+        nonlocal split
+        if _disjoint_paths(adj, s, t, cap):
+            return cap, None, []
+        if split is None:
+            split = _split_graph(g)
+        return _min_vertex_cut(split, s, t, cap)
+
     degs = g.degrees()
     listing = _cut_vertex_pieces(g, ())
     best = 1 if listing else min(degs)
     if not listing:
         v = degs.index(best)
         pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
-        pairs += [(x, y) for x, y in combinations(g.adjacency[v], 2) if not g.has_edge(x, y)]
+        pairs += [(x, y) for x, y in combinations(adj[v], 2) if not g.has_edge(x, y)]
         for s, t in pairs:
             if best == 2:
                 break
-            best = min(best, _min_vertex_cut(split, s, t, best)[0])
+            best = min(best, capped_flow(s, t, best)[0])
         if best == max(degs):
             separator = min(
-                g.adjacency[s] for s in range(n)
+                adj[s] for s in range(n)
                 if any(not g.has_edge(s, t) for t in range(s + 1, n))
             )
             return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
         if best == 2:
-            listing = [pieces for x in range(n) for pieces in _cut_vertex_pieces(g, (x,))]
-    apart = [(1 << n) - 1] * n  # apart[s]: the sinks whose flow from s may find a cut
-    if best <= 2:
-        apart = [0] * n
-        for pieces in listing:
-            whole = sum(pieces)
-            for piece in pieces:
-                rest = whole ^ piece
-                while piece:
-                    low = piece & -piece
-                    apart[low.bit_length() - 1] |= rest
-                    piece ^= low
+            listing = [cut for x in range(n) for cut in _cut_vertex_pieces(g, (x,))]
     cuts = []
-    for s in range(n):
-        settled = [False] * n
-        for t in range(s + 1, n):
-            if settled[t] or not apart[s] >> t & 1 or g.has_edge(s, t):
-                continue
-            _, cut, beyond = _min_vertex_cut(split, s, t, best + 1)
-            if cut is not None:
-                cuts.append(cut)
-                for x in beyond:
-                    settled[x] = True
+    if best <= 2:
+        for s in range(n):
+            # (size of the piece holding s, the other pieces, separator)
+            near = sorted(
+                (piece.bit_count(), sum(pieces) ^ piece, sep)
+                for sep, pieces in listing for piece in pieces if piece >> s & 1
+            )
+            todo = -1 << (s + 1)  # the sinks t > s whose cut is not yet read
+            for _, rest, sep in near:
+                if rest & todo:
+                    cuts.append(sep)
+                    todo &= ~rest
+    else:
+        for s in range(n):
+            settled = [False] * n
+            for t in range(s + 1, n):
+                if settled[t] or g.has_edge(s, t):
+                    continue
+                _, cut, beyond = capped_flow(s, t, best + 1)
+                if cut is not None:
+                    cuts.append(cut)
+                    for x in beyond:
+                        settled[x] = True
     separator = min(cuts)
     return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
 
@@ -541,13 +605,16 @@ class HypothesisReport:
         return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
 
-def _cut_vertex_pieces(g: Graph, removed: tuple[int, ...]) -> list[list[int]]:
+def _cut_vertex_pieces(
+    g: Graph, removed: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], list[int]]]:
     """For each cut vertex y of g - removed, which must be connected and not
-    empty, the components of g - removed - y as vertex bitmasks: one
-    iterative DFS with discovery times and low points (Hopcroft and Tarjan,
-    CACM 1973). Each DFS child c of y with low[c] >= disc[y] is a piece that
-    y cuts off, the subtree below c; a y that is not the root keeps one more
-    piece, the rest, which holds its parent."""
+    empty, the separator removed + {y}, sorted, with the components of
+    g - removed - y as vertex bitmasks: one iterative DFS with discovery
+    times and low points (Hopcroft and Tarjan, CACM 1973). Each DFS child c
+    of y with low[c] >= disc[y] is a piece that y cuts off, the subtree
+    below c; a y that is not the root keeps one more piece, the rest, which
+    holds its parent and the subtrees of its other children."""
     adj = g.adjacency
     n = g.vertex_count
     disc = [-1] * n
@@ -583,8 +650,11 @@ def _cut_vertex_pieces(g: Graph, removed: tuple[int, ...]) -> list[list[int]]:
                     pieces.setdefault(p, []).append(below[x])
     for y, cut_off in pieces.items():
         if y != root:
-            cut_off.append(below[root] ^ below[y])
-    return [cut_off for cut_off in pieces.values() if len(cut_off) >= 2]
+            cut_off.append(below[root] ^ (1 << y) ^ sum(cut_off))
+    return [
+        (tuple(sorted(removed + (y,))), cut_off)
+        for y, cut_off in pieces.items() if len(cut_off) >= 2
+    ]
 
 
 def check_hypotheses(g: Graph) -> HypothesisReport:

@@ -360,25 +360,42 @@ class TestVertexConnectivity:
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_flow_count_on_lift(self, monkeypatch, capsys, tmp_path):
-        """A cubic lift with kappa = d = 3 takes one flow per non-neighbour
-        of the start vertex and per pair of its neighbours, and no more."""
+        """A cubic lift with kappa = d = 3: disjoint paths settle every
+        Esfahanian-Hakimi pair, so no flow runs, in vertex_connectivity or
+        in analyze, and the split graph is never built."""
         g = petersen_lift(30, seed=0)
-        n, d = g.vertex_count, 3
-        calls = 0
-        original = analysis._min_vertex_cut
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", counted)
+        flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
+        splits = count_calls(monkeypatch, analysis, "_split_graph")
         assert analysis.vertex_connectivity(g).kappa == 3
-        assert calls <= n - d - 1 + math.comb(d, 2)
         path = tmp_path / "lift.txt"
         path.write_text(gc.serialize_edge_list(g))
         assert cli.main(["analyze", "--input", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa"] == 3
+        assert flows[0] == 0 and splits[0] == 0
+
+    def test_fallback_flow_on_cube(self, monkeypatch):
+        """On the cube, labelled so that 0 and 7 are antipodal, three
+        disjoint paths join 0 and 7 (through 1-6, 2-5 and 3-4), but the
+        greedy search takes 0-1-4-7 and 0-2-5-7 first, which leave 3 no way
+        through. So the flow capped at 3 runs for that pair, reaches its
+        cap, and the certificate stays the reference's."""
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
+                 (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
+        g = gc.Graph.from_edges(8, edges)
+        assert not analysis._disjoint_paths(g.adjacency, 0, 7, 3)
+        assert analysis._disjoint_paths(g.adjacency, 0, 7, 2)
+        flows = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            result = original(*args)
+            flows.append((args[1:], result[:2]))
+            return result
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        cert = analysis.vertex_connectivity(g)
+        assert flows == [((0, 7, 3), (3, None))]
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_found_cut_settles_only_sinks_beyond_it(self):
         """From s = 1 the first cut, {3} for the sink 2, leaves 0 and 9 on
@@ -409,28 +426,13 @@ class TestVertexConnectivity:
         cert = analysis.vertex_connectivity(g)
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
-    def test_sweep_flows_on_ring_all_find_a_cut(self, monkeypatch):
-        """On a ring of three C4-free 4-regular blocks (kappa = 2) every
-        sweep flow, capped at kappa + 1 = 3, is for a pair that some
-        2-separator splits, so each returns a cut."""
+    def test_ring_sweep_reads_cuts_off_the_listing(self, monkeypatch):
+        """On a ring of three C4-free 4-regular blocks (kappa = 2) the only
+        flows are Esfahanian-Hakimi flows capped at delta = 4: none is
+        capped at kappa + 1 = 3, since the sweep reads each pair's cut off
+        the 2-separator listing, and the certificate stays the
+        reference's."""
         g = c4_free_ring()
-        calls = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            result = original(*args)
-            calls.append((args[3], result[1]))
-            return result
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
-        assert analysis.vertex_connectivity(g).kappa == 2
-        sweep = [cut for cap, cut in calls if cap == 3]
-        assert sweep and all(cut is not None for cut in sweep)
-
-    def test_no_flow_capped_at_kappa(self, monkeypatch):
-        """The cut-vertex DFS decides kappa = 1, and the Esfahanian-Hakimi
-        flows stop at kappa = 2, so no flow runs with a cap that kappa
-        already meets: each is capped above kappa."""
         caps = []
         original = analysis._min_vertex_cut
 
@@ -439,14 +441,68 @@ class TestVertexConnectivity:
             return original(*args)
 
         monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
-        for g, kappa in (
-            (c4_free_ring(), 2),
-            (gc.generate_cubic_chain(5), 2),
-            (gc.generate_cubic_bridge_pair(), 1),
-        ):
-            caps.clear()
-            assert analysis.vertex_connectivity(g).kappa == kappa
-            assert caps and min(caps) > kappa
+        cert = analysis.vertex_connectivity(g)
+        assert cert.kappa == 2
+        assert caps and set(caps) == {4}
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_flows_stop_at_kappa(self, monkeypatch):
+        """The cut-vertex DFS decides kappa = 1, so the bridge pair runs no
+        flow. For kappa = 2 the Esfahanian-Hakimi flows stop at the one that
+        finds kappa, and the sweep runs none: every flow is capped above
+        kappa, and only the last one returns kappa."""
+        flows = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            result = original(*args)
+            flows.append((args[3], result[0]))
+            return result
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        for g in (c4_free_ring(), gc.generate_cubic_chain(5)):
+            flows.clear()
+            assert analysis.vertex_connectivity(g).kappa == 2
+            assert all(cap > 2 for cap, _ in flows)
+            assert [value for _, value in flows].index(2) == len(flows) - 1
+        flows.clear()
+        assert analysis.vertex_connectivity(gc.generate_cubic_bridge_pair()).kappa == 1
+        assert flows == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_listed_pieces_are_the_components(self, data):
+        """Every separator X + {y} that _cut_vertex_pieces lists, over X
+        empty and each single vertex whose removal leaves g connected,
+        comes with the components of g minus it, and the listing misses no
+        cut vertex of g - X."""
+        g = hub_graph(data) if data.draw(st.booleans()) else random_ring(data)
+        n = g.vertex_count
+        for removed in [()] + [(x,) for x in range(n)]:
+            rest = analysis.connected_components(g, frozenset(removed))
+            if len(rest) != 1:
+                continue
+            listed = {}
+            for sep, pieces in analysis._cut_vertex_pieces(g, removed):
+                assert set(removed) < set(sep) and len(sep) == len(removed) + 1
+                listed[sep] = sorted(tuple(v for v in range(n) if p >> v & 1) for p in pieces)
+            for sep, pieces in listed.items():
+                assert tuple(pieces) == analysis.connected_components(g, frozenset(sep))
+            cut_vertices = {
+                tuple(sorted(removed + (y,))) for y in rest[0]
+                if len(analysis.connected_components(g, frozenset(removed + (y,)))) > 1
+            }
+            assert set(listed) == cut_vertices
+
+    def test_last_piece_keeps_unseparated_subtrees(self):
+        """In g - 2 the DFS from 0 reaches 3 by 0-5-3 and then 7 below 3;
+        3 cuts off 1, 4, 6 but not 7, so 7 belongs to the piece that holds
+        3's parent."""
+        edges = [(0, 2), (0, 5), (0, 7), (1, 2), (1, 4), (1, 6),
+                 (2, 6), (3, 4), (3, 5), (3, 7), (4, 6), (5, 7)]
+        g = gc.Graph.from_edges(8, edges)
+        listed = {sep: sorted(pieces) for sep, pieces in analysis._cut_vertex_pieces(g, (2,))}
+        assert listed[(2, 3)] == sorted(sum(1 << v for v in part) for part in ((0, 5, 7), (1, 4, 6)))
 
     def test_one_dfs_per_subset_in_analyze(self, monkeypatch, capsys):
         """analyze on a kappa = 2 ring runs the cut-vertex DFS once on the

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -73,3 +74,57 @@ def test_showcase_try_route_takes_every_route():
         "construct_connectivity_bcoloring": "4",
         "construct_auto_bcoloring": "4",
     }
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(calls_per_s: float, p50: float) -> dict:
+    """A perfbench/run.py result with two of its end-to-end metrics."""
+    return {"correct": True, "attempted": 100, "failed": 0, "metrics": {
+        "calls_per_s": {"value": calls_per_s, "unit": "1/s"},
+        "call_p50_ms": {"value": p50, "unit": "ms"},
+    }}
+
+
+def test_bench_pairs_collates_medians_quartiles_and_wins():
+    bench_pairs = _load_script("bench_pairs")
+    pairs = [
+        {"base": _result(b, 5.0), "change": _result(c, p50)}
+        for b, c, p50 in ((10, 12, 4.0), (11, 10, 5.0), (12, 15, 6.0), (13, 16, 4.5), (14, 18, 4.0))
+    ]
+    got = bench_pairs.collate(pairs, {"calls_per_s": "higher", "call_p50_ms": "lower"})
+    assert got["calls_per_s"] == {
+        "unit": "1/s", "better": "higher", "pairs": 5, "change_won": 4,
+        "base": {"median": 12, "q1": 11, "q3": 13},
+        "change": {"median": 15, "q1": 12, "q3": 16},
+    }
+    # lower is better: 4.0 and 4.5 beat 5.0 three times; a tie is no win
+    assert got["call_p50_ms"]["change_won"] == 3
+    assert got["call_p50_ms"]["change"] == {"median": 4.5, "q1": 4.0, "q3": 5.0}
+
+
+def test_bench_pairs_alternates_and_keeps_other_workloads(monkeypatch, tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    order = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        order.append((checkout.name, seed))
+        return _result(20.0 if checkout.name == "new" else 10.0, 5.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    out.write_text('{"workloads": {"small-exact": {"kept": true}}}')
+    assert bench_pairs.main([str(tmp_path / "old"), str(tmp_path / "new"), "--runs", "mid-auto=3",
+                             "--seed", "5", "--out", str(out)]) == 0
+    assert order == [("old", 5), ("new", 5), ("new", 6), ("old", 6), ("old", 7), ("new", 7)]
+    record = json.loads(out.read_text())
+    assert record["workloads"]["small-exact"] == {"kept": True}
+    mid = record["workloads"]["mid-auto"]
+    assert [run["first"] for run in mid["runs"]] == ["base", "change", "base"]
+    assert mid["metrics"]["calls_per_s"]["change_won"] == 3
+    assert mid["metrics"]["call_p50_ms"]["change_won"] == 0
