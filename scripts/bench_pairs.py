@@ -2,21 +2,21 @@
 
 Usage:
     python3 scripts/bench_pairs.py BASE CHANGE --runs mid-auto=10 --runs small-exact=3
-        [--seed 711] [--seconds 20] [--base-label L] [--change-label L] [--out BENCH.json]
+        [--seed 711] [--out BENCH.json]
 
-BASE and CHANGE are the roots of two checkouts, for example the parent
-commit's and this one's. For each workload, pair i runs
+BASE and CHANGE are the roots of two git checkouts, for example the parent
+commit's and this one's; the record names each by its commit. For each
+workload, pair i runs
 `perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0` once in
-each checkout, one after the other, the base first in even pairs and the
-change first in odd ones, so that a slow spell of the processor does not
-always fall on the same side. Each run's end-to-end metrics are read from
-the last line of its stdout.
+each checkout, with S the `run_seconds` of `BENCHMARK.json`, one after the
+other, the base first in even pairs and the change first in odd ones, so
+that a slow spell of the processor does not always fall on the same side.
+Each run's end-to-end metrics are read from the last line of its stdout.
 
 The output file holds, per workload and metric, the median and quartiles
 of each side, and in how many pairs the change was better (in the
 direction `BENCHMARK.json` gives for the metric), beside every run's raw
-result. An existing output file is updated: the workloads run now replace
-its entries for them, and the others are kept.
+result. The output file is written anew, after each workload.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def commit(checkout: Path) -> str:
+    """The short hash of the commit checked out in checkout."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -75,17 +82,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--runs", action="append", required=True, metavar="WORKLOAD=PAIRS")
     parser.add_argument("--seed", type=int, default=711)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--base-label", default="base")
-    parser.add_argument("--change-label", default="change")
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record |= {"base": args.base_label, "change": args.change_label, "seconds": args.seconds}
-    record.setdefault("workloads", {})
+    seconds = spec["run_seconds"]
+    record = {"base": commit(args.base), "change": commit(args.change), "seconds": seconds,
+              "workloads": {}}
     for item in args.runs:
         workload, count = item.split("=")
         pairs = []
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                pair[side] = run_once(getattr(args, side), workload, seed, seconds)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['calls_per_s']['value']:.1f}"

@@ -323,11 +323,12 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     capped at the best value so far (Even and Tarjan, SIAM J. Comput. 1975:
     unit flows on the vertex-split graph).
 
-    Most pairs need no flow. Before each capped flow, _disjoint_paths looks
-    for cap internally disjoint paths between the pair; by Menger's theorem
-    finding them means the flow would reach its cap, so it is skipped. Only
-    when the greedy search falls short does the flow run; the split graph
-    of the flows is built at the first one.
+    Before each capped flow, _disjoint_paths looks for cap internally
+    disjoint paths between the pair; by Menger's theorem finding them means
+    the flow would reach its cap, so it is skipped. When the greedy search
+    falls short, which it always does on a pair split by fewer than cap
+    vertices, the flow runs after it. The split graph of the flows is built
+    at the first one.
 
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
@@ -367,8 +368,11 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     side is inside every other one's, so it is the smallest, and another
     side of that size is the same set, whose neighbours are the same S
     (each vertex of a minimum separator has a neighbour on the side of s).
-    Taken over the sinks t > s in order, each such cut settles the sinks
-    outside its side and itself, as the flow above does.
+    So one pass over the pieces of the distinct separators, the smallest
+    first, reads every cut: for each s in a piece, its separator is the cut
+    of each sink t > s in the other pieces that no earlier piece holding s
+    has split off. The listing has each 2-separator twice, once from each
+    of its vertices, and the pass takes it once.
     """
     n = g.vertex_count
     if n == 0:
@@ -410,19 +414,22 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
             return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
         if best == 2:
             listing = [cut for x in range(n) for cut in _cut_vertex_pieces(g, (x,))]
-    cuts = []
+    cuts = set()
     if best <= 2:
-        for s in range(n):
-            # (size of the piece holding s, the other pieces, separator)
-            near = sorted(
-                (piece.bit_count(), sum(pieces) ^ piece, sep)
-                for sep, pieces in listing for piece in pieces if piece >> s & 1
-            )
-            todo = -1 << (s + 1)  # the sinks t > s whose cut is not yet read
-            for _, rest, sep in near:
-                if rest & todo:
-                    cuts.append(sep)
-                    todo &= ~rest
+        todo = [-1 << (s + 1) for s in range(n)]  # todo[s]: the sinks t > s whose cut is not read yet
+        # every piece, the smallest first; dict() keeps each separator once,
+        # where the kappa = 2 listing has it from each of its two vertices
+        for _, piece, rest, sep in sorted(
+            (piece.bit_count(), piece, sum(pieces) ^ piece, sep)
+            for sep, pieces in dict(listing).items() for piece in pieces
+        ):
+            while piece:
+                low = piece & -piece
+                s = low.bit_length() - 1
+                if rest & todo[s]:
+                    cuts.add(sep)
+                    todo[s] &= ~rest
+                piece ^= low
     else:
         for s in range(n):
             settled = [False] * n
@@ -431,7 +438,7 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
                     continue
                 _, cut, beyond = capped_flow(s, t, best + 1)
                 if cut is not None:
-                    cuts.append(cut)
+                    cuts.add(cut)
                     for x in beyond:
                         settled[x] = True
     separator = min(cuts)

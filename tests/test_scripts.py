@@ -108,22 +108,26 @@ def test_bench_pairs_collates_medians_quartiles_and_wins():
     assert got["call_p50_ms"]["change"] == {"median": 4.5, "q1": 4.0, "q3": 5.0}
 
 
-def test_bench_pairs_alternates_and_keeps_other_workloads(monkeypatch, tmp_path):
+def test_bench_pairs_alternates_and_names_the_commits(monkeypatch, tmp_path):
     bench_pairs = _load_script("bench_pairs")
     order = []
 
     def fake_run(checkout, workload, seed, seconds):
-        order.append((checkout.name, seed))
+        order.append((checkout.name, seed, seconds))
         return _result(20.0 if checkout.name == "new" else 10.0, 5.0)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "commit", lambda checkout: f"{checkout.name}123")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     out = tmp_path / "bench.json"
-    out.write_text('{"workloads": {"small-exact": {"kept": true}}}')
+    out.write_text('{"workloads": {"small-exact": {}}}')
     assert bench_pairs.main([str(tmp_path / "old"), str(tmp_path / "new"), "--runs", "mid-auto=3",
                              "--seed", "5", "--out", str(out)]) == 0
-    assert order == [("old", 5), ("new", 5), ("new", 6), ("old", 6), ("old", 7), ("new", 7)]
+    assert order == [("old", 5, seconds), ("new", 5, seconds), ("new", 6, seconds),
+                     ("old", 6, seconds), ("old", 7, seconds), ("new", 7, seconds)]
     record = json.loads(out.read_text())
-    assert record["workloads"]["small-exact"] == {"kept": True}
+    assert (record["base"], record["change"], record["seconds"]) == ("old123", "new123", seconds)
+    assert list(record["workloads"]) == ["mid-auto"]  # written anew
     mid = record["workloads"]["mid-auto"]
     assert [run["first"] for run in mid["runs"]] == ["base", "change", "base"]
     assert mid["metrics"]["calls_per_s"]["change_won"] == 3
