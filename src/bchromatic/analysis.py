@@ -416,7 +416,7 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
             listing = [cut for x in range(n) for cut in _cut_vertex_pieces(g, (x,))]
     cuts = set()
     if best <= 2:
-        todo = [-1 << (s + 1) for s in range(n)]  # todo[s]: the sinks t > s whose cut is not read yet
+        todo = [-1 << (s + 1) for s in range(n)]  # todo[s]: the sinks t > s not yet read
         # every piece, the smallest first; dict() keeps each separator once,
         # where the kappa = 2 listing has it from each of its two vertices
         for _, piece, rest, sep in sorted(

@@ -446,6 +446,35 @@ class TestVertexConnectivity:
         assert caps and set(caps) == {4}
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
+    def test_sweep_above_two_flows_only_where_a_cut_is(self, monkeypatch):
+        """Three circulants C12(1, 2, 3) in a chain, consecutive ones joined
+        by 3 edges that replace a matching in each: kappa = 3 < delta = 5.
+        Every flow that runs, Esfahanian-Hakimi (cap 5) or sweep (cap
+        kappa + 1 = 4), finds a 3-cut: the greedy paths settle every other
+        pair. The certificate stays the reference's."""
+        edges = []
+        for b in (0, 12, 24):
+            drop = {(0, 1), (2, 3), (4, 5)} if b else set()
+            drop |= {(6, 7), (8, 9), (10, 11)} if b < 24 else set()
+            edges += [(b + i, b + (i + o) % 12) for i in range(12) for o in (1, 2, 3)
+                      if tuple(sorted((i, (i + o) % 12))) not in drop]
+            edges += [(b - 12 + x, b + y) for x, y in ((7, 0), (9, 2), (11, 4)) if b]
+        g = gc.Graph.from_edges(36, edges)
+        flows = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            result = original(*args)
+            flows.append((args[3], result[0], result[1] is not None))
+            return result
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        cert = analysis.vertex_connectivity(g)
+        assert (cert.kappa, min(g.degrees())) == (3, 5)
+        assert {cap for cap, _, _ in flows} == {4, 5}
+        assert all(value == 3 and cut for _, value, cut in flows)
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
     def test_flows_stop_at_kappa(self, monkeypatch):
         """The cut-vertex DFS decides kappa = 1, so the bridge pair runs no
         flow. For kappa = 2 the Esfahanian-Hakimi flows stop at the one that
