@@ -18,9 +18,13 @@ for the same N seeds at each size of RANDOM_SIZES and at random:3,2000.
 Each tree runs all the cases in one child interpreter, started with the
 tree's `src` first on the path. The child calls `bchromatic.cli.main(argv)`
 once per case, with stdin, stdout and stderr of its own, and turns a
-`SystemExit` into its exit code. A case differs when the exit code, stdout
-or stderr differ between the trees. Prints each differing case and their
-number, and exits 1 if there is any.
+`SystemExit` into its exit code. Then it runs the corpus a second time, in
+reverse order, in the same interpreter, so that state one call leaves
+behind (a cache, a module global) shows up as a case whose second run
+differs from its first. A case differs when the exit code, stdout or stderr
+differ between the trees, and is not repeatable when they differ between
+the two runs in one tree. Prints each such case and their numbers, and
+exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -86,34 +90,42 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     return graphs
 
 
-# run in the child: read [argv, stdin] pairs, print [exit code, stdout, stderr] triples
+# run in the child: read [argv, stdin] pairs, run them in order and then in
+# reverse order, and print the [exit code, stdout, stderr] triples of each run
+# in case order
 CHILD = """
 import io, json, sys
 from bchromatic.cli import main
 
-results = []
-for argv, text in json.load(sys.stdin):
+def run(argv, text):
     out, err = sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
     try:
         code = main(argv)
     except SystemExit as exc:
         code = 0 if exc.code is None else exc.code if isinstance(exc.code, int) else 1
-    results.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
+    result = [code, sys.stdout.getvalue(), sys.stderr.getvalue()]
     sys.stdout, sys.stderr = out, err
-json.dump(results, sys.stdout)
+    return result
+
+cases = json.load(sys.stdin)
+first = [run(*case) for case in cases]
+again = [run(*case) for case in reversed(cases)][::-1]
+json.dump([first, again], sys.stdout)
 """
 
 
-def run_all(src: Path, cases: list[tuple[list[str], str]]) -> list[list]:
+def run_all(src: Path, cases: list[tuple[list[str], str]]) -> tuple[list[list], list[list]]:
     """[exit code, stdout, stderr] of each (argv, stdin text) case, run in one
-    child interpreter on the tree whose `src` directory is given."""
+    child interpreter on the tree whose `src` directory is given: the first
+    run's, and the second's, made in reverse order."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD], input=json.dumps(cases),
         capture_output=True, text=True, cwd=src,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=1800, check=True,
     )
-    return json.loads(done.stdout)
+    first, again = json.loads(done.stdout)
+    return first, again
 
 
 def main() -> int:
@@ -142,13 +154,23 @@ def main() -> int:
     ]
 
     runs = [(argv, text) for _, argv, text in cases]
-    ours, theirs = run_all(OWN_SRC, runs), run_all(args.other_src.resolve(), runs)
+    (ours, ours_again), (theirs, theirs_again) = (
+        run_all(OWN_SRC, runs), run_all(args.other_src.resolve(), runs)
+    )
+    unrepeatable = 0
+    for tree, first, again in (("this tree", ours, ours_again),
+                               ("other tree", theirs, theirs_again)):
+        for (name, argv, _), a, b in zip(cases, first, again):
+            if a != b:
+                unrepeatable += 1
+                print(f"not repeatable in {tree}: {name}: {' '.join(argv)}")
     flags = [a != b for a, b in zip(ours, theirs)]
     for (name, argv, _), bad in zip(cases, flags):
         if bad:
             print(f"differs: {name}: {' '.join(argv)}")
+    print(f"{unrepeatable} not repeatable")
     print(f"{len(cases)} cases, {sum(flags)} differ")
-    return 1 if any(flags) else 0
+    return 1 if any(flags) or unrepeatable else 0
 
 
 if __name__ == "__main__":

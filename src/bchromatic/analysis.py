@@ -22,9 +22,13 @@ FIVE_CYCLE_VERTEX_CEILING = 200
 # benchmark graph needs (1,116); Hoffman-Singleton needs 1,082,291
 _PACKING_NODE_BUDGET = 50_000
 
-# sources per bit-parallel BFS batch in diameter; each of its two lists of
-# masks takes about n * _BFS_BATCH / 8 bytes
+# sources per bit-parallel BFS batch in diameter, at most. Each of its two
+# lists of n masks takes about n * width / 8 bytes, and the width shrinks
+# with n so that both fit _BFS_MASK_BYTES: the full _BFS_BATCH up to
+# n = 65,536, and 268 sources at the 10**6-vertex parse ceiling, where full
+# batches would take about 1 GB
 _BFS_BATCH = 4096
+_BFS_MASK_BYTES = 64 << 20
 
 
 def is_regular(g: Graph) -> int | None:
@@ -141,14 +145,15 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
     Disconnected graphs give (inf, cross-component pair); graphs with fewer
     than two vertices give (0, None).
 
-    A bit-parallel BFS from _BFS_BATCH sources at a time (Then et al., "The
+    A bit-parallel BFS from a batch of sources at a time (Then et al., "The
     More the Merrier", VLDB 2014): reach[v] holds one bit per source of the
     batch, set once the source is within the current radius of v, and each
     round ORs into it the masks of v's neighbours. A source's eccentricity is
     the last round in which its bit spread. The smallest s of largest
     eccentricity D begins the smallest witness: a vertex t at distance D
     from s has eccentricity D too, so t > s. One BFS from s then gives the
-    smallest such t.
+    smallest such t. A batch holds _BFS_BATCH sources, or fewer where n is
+    so large that its masks would pass _BFS_MASK_BYTES.
     """
     n = g.vertex_count
     if n <= 1:
@@ -158,9 +163,10 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
         other = dist0.index(-1)
         return (math.inf, (0, other))
     adj = g.adjacency
+    batch = max(1, min(_BFS_BATCH, 4 * _BFS_MASK_BYTES // n))
     best, source = 0, 0
-    for lo in range(0, n, _BFS_BATCH):
-        width = min(_BFS_BATCH, n - lo)
+    for lo in range(0, n, batch):
+        width = min(batch, n - lo)
         full = (1 << width) - 1
         reach = [0] * n
         for i in range(width):
@@ -493,7 +499,8 @@ def _max_compatible(items: list[frozenset[int]], core_size: int, nodes: list[int
     """Largest subfamily whose pairwise intersections have exactly core_size
     vertices (the shared edge or path all of them contain). nodes[0] counts
     the search nodes across calls; past _PACKING_NODE_BUDGET the search
-    raises CeilingExceeded."""
+    raises CeilingExceeded. A family of at most one cycle takes one node, so
+    five_cycle_stats charges that node instead of calling it."""
     m = len(items)
     conflict: list[set[int]] = [set() for _ in range(m)]
     for i in range(m):
@@ -521,40 +528,43 @@ def _max_compatible(items: list[frozenset[int]], core_size: int, nodes: list[int
 
 def five_cycle_stats(g: Graph) -> FiveCycleStats:
     """Exhaustive 5-cycle statistics; refuses graphs larger than
-    FIVE_CYCLE_VERTEX_CEILING vertices."""
+    FIVE_CYCLE_VERTEX_CEILING vertices.
+
+    Only the families of two or more cycles through an edge or a 2-path run
+    the packing search. Each other family is its own packing and is charged
+    the one search node that the search would count for it, so the node
+    total, and with it where the maps turn None, does not depend on the
+    shortcut."""
     if g.vertex_count > FIVE_CYCLE_VERTEX_CEILING:
         raise CeilingExceeded(
             f"five-cycle enumeration capped at {FIVE_CYCLE_VERTEX_CEILING} vertices, "
             f"got {g.vertex_count}"
         )
     cycles = _enumerate_five_cycles(g)
-    per_edge: dict[tuple[int, int], int] = {e: 0 for e in g.edges()}
-    by_edge: dict[tuple[int, int], list[int]] = {e: [] for e in per_edge}
-    by_path: dict[tuple[int, int, int], list[int]] = {}
-    for v in range(g.vertex_count):
-        for u, w in combinations(g.adjacency[v], 2):
-            by_path[(u, v, w)] = []
-    for idx, cyc in enumerate(cycles):
+    edges = list(g.edges())
+    paths = [(u, v, w) for v, near in enumerate(g.adjacency) for u, w in combinations(near, 2)]
+    # the vertex sets of the cycles through each edge and 2-path on a cycle
+    by_edge: dict[tuple[int, int], list[frozenset[int]]] = {}
+    by_path: dict[tuple[int, int, int], list[frozenset[int]]] = {}
+    for cyc in cycles:
+        vertex_set = frozenset(cyc)
         for i in range(5):
-            u, v = cyc[i], cyc[(i + 1) % 5]
-            e = (u, v) if u < v else (v, u)
-            per_edge[e] += 1
-            by_edge[e].append(idx)
-            mid = cyc[(i + 1) % 5]
-            a, b = cyc[i], cyc[(i + 2) % 5]
-            key = (min(a, b), mid, max(a, b))
-            by_path[key].append(idx)
-    vertex_sets = [frozenset(c) for c in cycles]
-    nodes = [0]
+            a, mid, b = cyc[i - 1], cyc[i], cyc[(i + 1) % 5]
+            by_edge.setdefault((a, mid) if a < mid else (mid, a), []).append(vertex_set)
+            by_path.setdefault((a, mid, b) if a < b else (b, mid, a), []).append(vertex_set)
+    per_edge = dict.fromkeys(edges, 0)
+    per_edge.update((e, len(family)) for e, family in by_edge.items())
+    max_edge = per_edge.copy()
+    max_path = dict.fromkeys(paths, 0)
+    max_path.update((p, len(family)) for p, family in by_path.items())
+    wide = [(max_edge, e, family, 2) for e, family in by_edge.items() if len(family) > 1]
+    wide += [(max_path, p, family, 3) for p, family in by_path.items() if len(family) > 1]
+    nodes = [len(edges) + len(paths) - len(wide)]
     try:
-        max_edge = {
-            e: _max_compatible([vertex_sets[i] for i in ids], 2, nodes)
-            for e, ids in by_edge.items()
-        }
-        max_path = {
-            p: _max_compatible([vertex_sets[i] for i in ids], 3, nodes)
-            for p, ids in by_path.items()
-        }
+        if nodes[0] > _PACKING_NODE_BUDGET:
+            raise CeilingExceeded(f"packing search passed {_PACKING_NODE_BUDGET} nodes")
+        for table, key, family, core_size in wide:
+            table[key] = _max_compatible(family, core_size, nodes)
     except CeilingExceeded:
         return FiveCycleStats(tuple(cycles), per_edge, None, None)
     return FiveCycleStats(tuple(cycles), per_edge, max_edge, max_path)

@@ -11,6 +11,7 @@ hypothesis or exceeds a search budget, 3 a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -53,7 +54,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built at the first call and shared by every
+    later one in the process: building it costs more than most calls it
+    parses. Each parse_args returns a new namespace, so no call sees another's
+    flags."""
     parser = _Parser(prog="bchromatic", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -1,8 +1,10 @@
 import importlib.util
 import io
+import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -267,6 +269,27 @@ class TestDiameterAndComponents:
         monkeypatch.setattr(analysis, "_BFS_BATCH", batch)
         for name, g in small_corpus:
             assert analysis.diameter(g) == oracles.bfs_diameter(g), name
+
+    def test_masks_fit_the_byte_ceiling(self, monkeypatch):
+        """The batch narrows so that the masks' bits fit _BFS_MASK_BYTES;
+        each vertex adds under 100 bytes of object headers and list slots.
+        With the ceiling at a quarter of what full batches need on a
+        600-vertex lift (width 150), the peak stays inside that bound, which
+        full batches pass, and the value and witness do not change."""
+        g = petersen_lift(60, 0)
+        n = g.vertex_count
+        peaks, results = [], []
+        for ceiling in (analysis._BFS_MASK_BYTES, n * n // 16):
+            monkeypatch.setattr(analysis, "_BFS_MASK_BYTES", ceiling)
+            tracemalloc.start()
+            try:
+                results.append(analysis.diameter(g))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        bound = n * n // 16 + 100 * n
+        assert results[0] == results[1] == oracles.bfs_diameter(g)
+        assert peaks[1] < bound < peaks[0]
 
     def test_components(self):
         g = gc.Graph.from_edges(5, [(1, 3), (0, 4)])
@@ -590,6 +613,30 @@ class TestFiveCycles:
         by_edge, by_path = oracles.brute_five_cycle_packings(g)
         assert stats.max_edge_disjoint == by_edge
         assert stats.max_path_disjoint == by_path
+
+    @pytest.mark.parametrize("name, total", [
+        ("petersen", 105), ("heawood", 63), ("random:4,20/0", 262),
+    ])
+    def test_packing_budget_boundary(self, monkeypatch, name, total):
+        """total is the packing search's node count: the smallest
+        _PACKING_NODE_BUDGET that keeps both packing maps. One node less and
+        both read None. The maps are keyed in edge order and in (vertex,
+        neighbour pair) order, zero families included."""
+        g = {
+            "petersen": gc.generate_petersen,
+            "heawood": gc.generate_heawood,
+            "random:4,20/0": lambda: gc.generate_random_c4_free_regular(4, 20, 0),
+        }[name]()
+        monkeypatch.setattr(analysis, "_PACKING_NODE_BUDGET", total)
+        kept = analysis.five_cycle_stats(g)
+        paths = [(u, v, w) for v in range(g.vertex_count)
+                 for u, w in itertools.combinations(g.adjacency[v], 2)]
+        assert list(kept.per_edge_count) == list(kept.max_edge_disjoint) == list(g.edges())
+        assert list(kept.max_path_disjoint) == paths
+        monkeypatch.setattr(analysis, "_PACKING_NODE_BUDGET", total - 1)
+        cut = analysis.five_cycle_stats(g)
+        assert cut.max_edge_disjoint is None and cut.max_path_disjoint is None
+        assert cut.cycles == kept.cycles and cut.per_edge_count == kept.per_edge_count
 
     def test_disjoint_families_are_valid(self, petersen):
         stats = analysis.five_cycle_stats(petersen)

@@ -449,6 +449,42 @@ class TestUsageErrors:
         assert run_cli(monkeypatch, capsys, argv)[0] == 1
 
 
+class TestCachedParser:
+    """main builds its parser once per process; a flag given to one call must
+    not reach the next, which gets the default each time."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_strategy_reverts_to_auto(self, monkeypatch, capsys, chain_file):
+        for _ in range(2):
+            for flags, strategy in ((["--strategy", "lower-bound"], "lower-bound"),
+                                    ([], "full-seed")):
+                code, out, _ = run_cli(monkeypatch, capsys, ["color", "--input", chain_file, *flags])
+                assert code == 0 and json.loads(out)["strategy"] == strategy
+
+    def test_output_reverts_to_text(self, monkeypatch, capsys, petersen_file):
+        for _ in range(2):
+            argv = ["analyze", "--input", petersen_file]
+            code, out, _ = run_cli(monkeypatch, capsys, [*argv, "--output", "json"])
+            assert code == 0 and json.loads(out)["vertices"] == 10
+            code, out, _ = run_cli(monkeypatch, capsys, argv)
+            assert code == 0 and out.startswith("vertices: 10\n")
+
+    def test_oracle_ceiling_reverts_to_default(self, monkeypatch, capsys, chain_file):
+        assert gc.parse_edge_list(open(chain_file).read()).vertex_count > 24
+        for _ in range(2):
+            argv = ["exact", "--input", chain_file]
+            assert run_cli(monkeypatch, capsys, [*argv, "--oracle-ceiling", "30"])[0] == 0
+            assert run_cli(monkeypatch, capsys, argv)[0] == 2
+
+    def test_usage_error_then_valid_call(self, monkeypatch, capsys, petersen_file):
+        for _ in range(2):
+            argv = ["color", "--input", petersen_file]
+            assert run_cli(monkeypatch, capsys, [*argv, "--strategy", "bogus"])[0] == 1
+            assert run_cli(monkeypatch, capsys, argv)[0] == 0
+
+
 def run_cli_plain(argv, stdin_text=""):
     """cli.main with stdin fed and output captured. Hypothesis runs many
     examples in one test call, so this does not use the function-scoped

@@ -28,7 +28,31 @@ def test_compare_outputs_finds_no_difference_with_itself():
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-2] == "0 not repeatable"
     assert done.stdout.splitlines()[-1].endswith(" cases, 0 differ")
+
+
+def test_compare_outputs_flags_a_tree_that_keeps_state(tmp_path):
+    """A tree whose main prints a call counter answers each case otherwise
+    the second time through the corpus: every case is flagged in it."""
+    package = tmp_path / "bchromatic"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "calls = 0\n\ndef main(argv):\n    global calls\n    calls += 1\n"
+        "    print(calls)\n    return 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(tmp_path),
+         "--count", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    cases = int(lines[-1].split()[0])
+    assert lines[-2] == f"{cases} not repeatable"
+    assert sum(line.startswith("not repeatable in other tree: ") for line in lines) == cases
 
 
 def test_count_lines_skips_docstrings_comments_and_blanks(tmp_path):
