@@ -472,7 +472,7 @@ class TestCachedParser:
             assert code == 0 and out.startswith("vertices: 10\n")
 
     def test_oracle_ceiling_reverts_to_default(self, monkeypatch, capsys, chain_file):
-        assert gc.parse_edge_list(open(chain_file).read()).vertex_count > 24
+        assert gc.generate_cubic_chain(3).vertex_count > exact_oracle.DEFAULT_VERTEX_CEILING
         for _ in range(2):
             argv = ["exact", "--input", chain_file]
             assert run_cli(monkeypatch, capsys, [*argv, "--oracle-ceiling", "30"])[0] == 0
