@@ -7,12 +7,17 @@ commit's. Builds a fixed corpus in-process from graph_core: the cycles C5
 and C7 (d = 2, the small case), Petersen, two and three disjoint copies of
 Petersen (kappa = 0, the second with three components), Heawood, cubic
 chains of 2-5 beads, the bridge pair,
-generalized Petersen graphs, N graphs random:d,n for each d = 3-5, and N
-rings of three random C4-free 4-regular blocks. Each graph's edge-list text
+generalized Petersen graphs, N graphs random:d,n for each d = 3-5, N
+rings of three random C4-free 4-regular blocks, and random:3,1000 and
+random:4,1000 (seed 0). Each graph's edge-list text
 is the stdin of `color` with every strategy (auto included), of `analyze`
 with text and JSON output, and of `exact` (graphs above its 24-vertex
 ceiling exit 2 at once), and its DIMACS text is the stdin of `analyze
---format dimacs --output json`. `generate --input random:d,n --seed s` runs
+--format dimacs --output json`. Each text of EDGE_LIST_TEXTS, one per
+fault the edge-list parser reports and three odd but valid layouts, is the
+stdin of `analyze --output json` and of auto `color`, so that the exit
+code and the message on stderr are compared too.
+`generate --input random:d,n --seed s` runs
 for the same N seeds at each size of RANDOM_SIZES and at random:3,2000.
 
 Each tree runs all the cases in one child interpreter, started with the
@@ -48,6 +53,30 @@ COMMANDS = [["color", "--strategy", s] for s in STRATEGIES] + [
 ]
 
 RANDOM_SIZES = {3: 30, 4: 40, 5: 50}
+
+# edge-list texts that parse_edge_list rejects, one per check it makes, and
+# three that it accepts: tabs with CRLF endings, a repeated edge and a
+# reversed one
+EDGE_LIST_TEXTS = {
+    "empty": "",
+    "no-header": "\n0 1\n",
+    "header-fields": "3\n0 1\n",
+    "header-integers": "3 two\n0 1\n1 2\n",
+    "header-negative": "-3 2\n0 1\n1 2\n",
+    "header-ceiling": "1000001 0\n",
+    "blank-line": "3 2\n0 1\n\n1 2\n",
+    "one-field": "3 2\n0 1\n2\n",
+    "three-fields": "3 2\n0 1\n1 2 0\n",
+    "non-integer": "3 2\n0 1\n1 x\n",
+    "out-of-range": "3 2\n0 1\n1 3\n",
+    "out-of-range-loop": "3 2\n0 1\n-1 -1\n",
+    "self-loop": "3 2\n0 1\n2 2\n",
+    "too-few-lines": "3 3\n0 1\n1 2\n",
+    "after-edges": "3 2\n0 1\n1 2\n\nextra\n",
+    "tabs-crlf": "5 5\r\n0\t1\r\n1\t2\r\n 2 3\r\n3\t\t4 \r\n4 0\r\n\r\n",
+    "repeated-edge": "5 6\n0 1\n1 2\n2 3\n3 4\n4 0\n1 2\n",
+    "reversed-edge": "5 6\n0 1\n1 2\n2 3\n3 4\n4 0\n1 0\n",
+}
 
 
 def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
@@ -87,6 +116,8 @@ def corpus(count: int) -> dict[str, gc.Graph]:
         graphs[f"ring:4,26/{seed}"] = ring_of_blocks(
             [gc.generate_random_c4_free_regular(4, 26, 3 * seed + i) for i in range(3)]
         )
+    graphs |= {f"random:{d},1000/0": gc.generate_random_c4_free_regular(d, 1000, 0)
+               for d in (3, 4)}
     return graphs
 
 
@@ -145,6 +176,11 @@ def main() -> int:
         (name, ["analyze", "--format", "dimacs", "--output", "json", "--input", "-"],
          dimacs_text(g))
         for name, g in graphs.items()
+    ]
+    cases += [
+        (f"edge-list:{name}", [*argv, "--input", "-"], text)
+        for name, text in EDGE_LIST_TEXTS.items()
+        for argv in (["analyze", "--output", "json"], ["color", "--strategy", "auto"])
     ]
     cases += [
         (f"random:{d},{n}/{seed}",

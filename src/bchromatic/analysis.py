@@ -30,6 +30,15 @@ _PACKING_NODE_BUDGET = 50_000
 _BFS_BATCH = 4096
 _BFS_MASK_BYTES = 64 << 20
 
+# split-graph arcs one vertex_connectivity call may charge its capped flows,
+# each flow the whole split graph (2n + 4m arcs), before it raises
+# CeilingExceeded: over 1,600 times the most that a test graph needs (12,000
+# on a 36-vertex chain of circulants), and 2,000 times the most that a
+# compare_outputs.py or benchmark graph would (9,900 on a 990-vertex
+# large-lower-bound graph; 1,560 on the 78-vertex rings that are analyzed).
+# A flow on a 10**4-vertex cubic graph charges 80,000
+_FLOW_ARC_BUDGET = 20_000_000
+
 
 def is_regular(g: Graph) -> int | None:
     """The common degree d when every vertex has it, else None.
@@ -44,14 +53,21 @@ def is_regular(g: Graph) -> int | None:
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Lexicographically first triangle (a, b, c) with a < b < c, or None."""
+    """Lexicographically first triangle (a, b, c) with a < b < c, or None.
+
+    Each edge ab with a < b, in lexicographic order, costs one isdisjoint
+    test of N(a) against N(b). The first edge that shares a neighbour is
+    (a, b), and c is its smallest shared neighbour, which exceeds b: a
+    shared c < a would have made (c, a) an earlier hit, and a < c < b the
+    edge (a, c).
+    """
+    adj = g.adjacency
+    sets = g.neighbor_sets
     for a in range(g.vertex_count):
-        for b in g.adjacency[a]:
-            if b <= a:
-                continue
-            for c in sorted(g.neighbor_sets[a] & g.neighbor_sets[b]):
-                if c > b:
-                    return (a, b, c)
+        na = sets[a]
+        for b in adj[a]:
+            if b > a and not na.isdisjoint(adj[b]):
+                return (a, b, next(c for c in adj[b] if c in na))
     return None
 
 
@@ -75,11 +91,14 @@ def find_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def girth(g: Graph) -> int | float:
+def girth(g: Graph, at_least: int = 3) -> int | float:
     """Length of a shortest cycle; math.inf for forests.
 
     One BFS per root: every shortest cycle is witnessed from some root by a
-    non-tree edge closing at dist[x] + dist[y] + 1.
+    non-tree edge closing at dist[x] + dist[y] + 1, and no such closing is
+    shorter than the girth. at_least must be a floor on the girth (3 holds
+    for every simple graph): the search stops at the first closing of that
+    length, which is then the girth.
     """
     best: int | float = math.inf
     n = g.vertex_count
@@ -100,6 +119,8 @@ def girth(g: Graph) -> int | float:
                 elif y != parent[x]:
                     cycle = dist[x] + dist[y] + 1
                     if cycle < best:
+                        if cycle <= at_least:
+                            return cycle
                         best = cycle
     return best
 
@@ -334,7 +355,9 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     the flow would reach its cap, so it is skipped. When the greedy search
     falls short, which it always does on a pair split by fewer than cap
     vertices, the flow runs after it. The split graph of the flows is built
-    at the first one.
+    at the first one. Each flow is charged the arcs of the whole split
+    graph, and a call whose flows pass _FLOW_ARC_BUDGET arcs raises
+    CeilingExceeded.
 
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
@@ -390,15 +413,21 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     adj = g.adjacency
     split = None
+    work = 0
 
     def capped_flow(s: int, t: int, cap: int) -> tuple[int, tuple[int, ...] | None, list[int]]:
         """_min_vertex_cut(split, s, t, cap), or (cap, None, []) with no
         flow when cap disjoint paths join s and t."""
-        nonlocal split
+        nonlocal split, work
         if _disjoint_paths(adj, s, t, cap):
             return cap, None, []
         if split is None:
             split = _split_graph(g)
+        work += len(split[0])
+        if work > _FLOW_ARC_BUDGET:
+            raise CeilingExceeded(
+                f"vertex connectivity flows passed {_FLOW_ARC_BUDGET} split-graph arcs"
+            )
         return _min_vertex_cut(split, s, t, cap)
 
     degs = g.degrees()
@@ -689,7 +718,8 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     d = is_regular(g)
     c4 = find_four_cycle(g)
     tri = find_triangle(g)
-    gr = girth(g)
+    # with no triangle and no 4-cycle the girth is at least 5
+    gr = 3 if tri is not None else 4 if c4 is not None else girth(g, at_least=5)
     diam, diam_witness = diameter(g)
     cert = vertex_connectivity(g)
     n = g.vertex_count

@@ -19,7 +19,6 @@ verification of its final coloring.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from bchromatic import analysis
@@ -442,31 +441,31 @@ def greedy_extend(
         raise ValueError("greedy extension needs palette at least max degree + 1")
     validate_partial_coloring(g, partial)
     n = g.vertex_count
-    colors = list(partial.assignment)
+    adj = g.adjacency
     if sources is None:
         sources = partial.assigned_vertices()
-    order: list[int] = []
+    # the BFS queue is the visiting order: it grows while it is walked
+    order = sorted(set(sources))
     seen = [False] * n
-    q: deque[int] = deque()
-    for s in sorted(set(sources)):
-        if not seen[s]:
-            seen[s] = True
-            q.append(s)
-    while q:
-        x = q.popleft()
-        order.append(x)
-        for y in g.adjacency[x]:
+    for s in order:
+        seen[s] = True
+    for x in order:
+        for y in adj[x]:
             if not seen[y]:
                 seen[y] = True
-                q.append(y)
-    for v in range(n):
-        if not seen[v]:
-            order.append(v)
+                order.append(y)
+    order += [v for v in range(n) if not seen[v]]
+    # color c as the bit 1 << c, 0 while uncolored; bit 0 stands for no
+    # color, so the lowest zero bit of a neighborhood's mask is its smallest
+    # missing color
+    bits = [0 if c is None else 1 << c for c in partial.assignment]
     for v in order:
-        if colors[v] is None:
-            taken = {colors[u] for u in g.adjacency[v]}
-            colors[v] = next(c for c in range(1, partial.palette_size + 1) if c not in taken)
-    return Coloring(partial.palette_size, tuple(colors))  # type: ignore[arg-type]
+        if not bits[v]:
+            mask = 1
+            for u in adj[v]:
+                mask |= bits[u]
+            bits[v] = ~mask & (mask + 1)
+    return Coloring(partial.palette_size, tuple(b.bit_length() - 1 for b in bits))
 
 
 def reduce_unrealized(

@@ -120,15 +120,12 @@ def parse_edge_list(text: str) -> Graph:
     m lines "u v" with 0-based endpoints. Duplicate edges collapse.
     """
     lines = text.split("\n")
+    # trailing blank lines are tolerated, anything else must be well formed
     while lines and not lines[-1].strip():
         lines.pop()
-    # trailing blank lines are tolerated, anything else must be well formed
-    def fields(idx: int) -> list[str]:
-        return lines[idx].split()
-
     if not lines or not lines[0].strip():
         raise ParseError(1, "missing header line 'n m'")
-    header = fields(0)
+    header = lines[0].split()
     if len(header) != 2:
         raise ParseError(1, f"header must be 'n m', got {lines[0]!r}")
     try:
@@ -140,15 +137,14 @@ def parse_edge_list(text: str) -> Graph:
     if n > PARSE_VERTEX_CEILING:
         raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
 
-    edges: list[tuple[int, int]] = []
-    idx = 1
-    while len(edges) < m:
-        if idx >= len(lines):
-            raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {len(edges)}")
-        parts = fields(idx)
-        if not parts:
-            raise ParseError(idx + 1, "blank line where an edge was expected")
+    # each edge goes into the adjacency sets in the loop that checks its line
+    adj: list[set[int]] = [set() for _ in range(n)]
+    found = min(m, len(lines) - 1)
+    for idx in range(1, found + 1):
+        parts = lines[idx].split()
         if len(parts) != 2:
+            if not parts:
+                raise ParseError(idx + 1, "blank line where an edge was expected")
             raise ParseError(idx + 1, f"edge line must be 'u v', got {lines[idx]!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
@@ -158,12 +154,14 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(idx + 1, f"edge ({u}, {v}) out of range for {n} vertices")
         if u == v:
             raise ParseError(idx + 1, f"self-loop at vertex {u}")
-        edges.append((u, v))
-        idx += 1
-    for rest in range(idx, len(lines)):
+        adj[u].add(v)
+        adj[v].add(u)
+    if found < m:
+        raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {found}")
+    for rest in range(m + 1, len(lines)):
         if lines[rest].strip():
             raise ParseError(rest + 1, "unexpected content after the declared edges")
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(tuple(sorted(ns)) for ns in adj))
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -2,7 +2,8 @@
 
 Everything here trades efficiency for obviousness so the fast library code
 can be checked against it on small inputs. Nothing in this module imports
-from the library's algorithm internals beyond the Graph container.
+from the library's algorithm internals beyond the Graph container and the
+ParseError it reports.
 """
 
 from __future__ import annotations
@@ -11,7 +12,61 @@ import itertools
 import math
 from collections import deque
 
-from bchromatic.graph_core import Graph
+from bchromatic.graph_core import PARSE_VERTEX_CEILING, Graph, ParseError
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """The edge-list parser as a line loop that collects the edges, then
+    Graph.from_edges: the same checks, messages and line numbers as
+    graph_core.parse_edge_list."""
+    lines = text.split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines or not lines[0].strip():
+        raise ParseError(1, "missing header line 'n m'")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ParseError(1, f"header must be 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(1, f"header must be two integers, got {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise ParseError(1, "n and m must be nonnegative")
+    if n > PARSE_VERTEX_CEILING:
+        raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
+    edges: list[tuple[int, int]] = []
+    idx = 1
+    while len(edges) < m:
+        if idx >= len(lines):
+            raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {len(edges)}")
+        parts = lines[idx].split()
+        if not parts:
+            raise ParseError(idx + 1, "blank line where an edge was expected")
+        if len(parts) != 2:
+            raise ParseError(idx + 1, f"edge line must be 'u v', got {lines[idx]!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(idx + 1, f"edge endpoints must be integers, got {lines[idx]!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(idx + 1, f"edge ({u}, {v}) out of range for {n} vertices")
+        if u == v:
+            raise ParseError(idx + 1, f"self-loop at vertex {u}")
+        edges.append((u, v))
+        idx += 1
+    for rest in range(idx, len(lines)):
+        if lines[rest].strip():
+            raise ParseError(rest + 1, "unexpected content after the declared edges")
+    return Graph.from_edges(n, edges)
+
+
+def brute_triangle(g: Graph) -> tuple[int, int, int] | None:
+    """The lexicographically first triangle a < b < c, over all triples."""
+    for a, b, c in itertools.combinations(range(g.vertex_count), 3):
+        if b in g.adjacency[a] and c in g.adjacency[a] and c in g.adjacency[b]:
+            return (a, b, c)
+    return None
 
 
 def brute_girth(g: Graph) -> float:
@@ -42,6 +97,36 @@ def brute_four_cycle(g: Graph) -> tuple[int, int, int, int] | None:
             if len(shared) >= 2:
                 return (u, shared[0], v, shared[1])
     return None
+
+
+def reference_greedy_extend(
+    g: Graph, assignment: tuple[int | None, ...], palette: int, sources: tuple[int, ...]
+) -> tuple[int, ...]:
+    """greedy_extend's colors as a BFS from the sorted distinct sources, the
+    unreached vertices after it in ascending order, then each uncolored
+    vertex in that order given the smallest color absent around it."""
+    n = g.vertex_count
+    colors = list(assignment)
+    order: list[int] = []
+    seen = [False] * n
+    q: deque[int] = deque()
+    for s in sorted(set(sources)):
+        if not seen[s]:
+            seen[s] = True
+            q.append(s)
+    while q:
+        x = q.popleft()
+        order.append(x)
+        for y in g.adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                q.append(y)
+    order += [v for v in range(n) if not seen[v]]
+    for v in order:
+        if colors[v] is None:
+            taken = {colors[u] for u in g.adjacency[v]}
+            colors[v] = next(c for c in range(1, palette + 1) if c not in taken)
+    return tuple(colors)
 
 
 def brute_diameter(g: Graph) -> float:

@@ -21,6 +21,11 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
+# the cube, labelled so that 0 and 7 are antipodal
+CUBE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
+              (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
+
+
 def random_graph(data, max_n=10):
     n = data.draw(st.integers(min_value=0, max_value=max_n))
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -170,6 +175,12 @@ class TestRegularityAndSmallPatterns:
         assert analysis.find_triangle(g) is not None
         assert analysis.find_triangle(gc.generate_petersen()) is None
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_find_triangle_matches_brute(self, data):
+        g = random_density_graph(data)
+        assert analysis.find_triangle(g) == oracles.brute_triangle(g)
+
     def test_find_four_cycle(self):
         g = gc.generate_complete_bipartite(2)
         cyc = analysis.find_four_cycle(g)
@@ -220,6 +231,25 @@ class TestGirth:
     def test_matches_brute(self, data):
         g = random_graph(data)
         assert analysis.girth(g) == oracles.brute_girth(g)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_stops_at_the_proved_floor(self, data):
+        """Given the floor the gates prove (3, 4 with no triangle, 5 with no
+        triangle and no 4-cycle), girth is still exact, on random graphs,
+        on trees with a few extra edges and on the cycles C3-C7; so is the
+        girth that check_hypotheses reports."""
+        kind = data.draw(st.sampled_from(["random", "tree", "cycle"]))
+        if kind == "random":
+            g = random_density_graph(data, max_n=12)
+        elif kind == "tree":
+            g = random_tree_graph(data, max_n=14)
+        else:
+            g = gc.generate_cycle(data.draw(st.integers(min_value=3, max_value=7)))
+        floor = (3 if oracles.brute_triangle(g) is not None
+                 else 4 if oracles.brute_four_cycle(g) is not None else 5)
+        assert analysis.girth(g, at_least=floor) == oracles.brute_girth(g)
+        assert analysis.check_hypotheses(g).girth == oracles.brute_girth(g)
 
 
 class TestDiameterAndComponents:
@@ -402,9 +432,7 @@ class TestVertexConnectivity:
         greedy search takes 0-1-4-7 and 0-2-5-7 first, which leave 3 no way
         through. So the flow capped at 3 runs for that pair, reaches its
         cap, and the certificate stays the reference's."""
-        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
-                 (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
-        g = gc.Graph.from_edges(8, edges)
+        g = gc.Graph.from_edges(8, CUBE_EDGES)
         assert not analysis._disjoint_paths(g.adjacency, 0, 7, 3)
         assert analysis._disjoint_paths(g.adjacency, 0, 7, 2)
         flows = []
@@ -419,6 +447,23 @@ class TestVertexConnectivity:
         cert = analysis.vertex_connectivity(g)
         assert flows == [((0, 7, 3), (3, None))]
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_flow_budget(self, monkeypatch, capsys):
+        """The cube of test_fallback_flow_on_cube runs one flow, charged its
+        whole split graph (2n + 4m = 64 arcs): a budget of 64 lets it run,
+        63 raises CeilingExceeded, and analyze then exits 2 with the
+        message on stderr."""
+        g = gc.Graph.from_edges(8, CUBE_EDGES)
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 64)
+        assert analysis.vertex_connectivity(g).kappa == 3
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 63)
+        with pytest.raises(gc.CeilingExceeded, match="passed 63 split-graph arcs"):
+            analysis.vertex_connectivity(g)
+        monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
+        assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bchromatic: vertex connectivity flows passed 63 split-graph arcs\n"
 
     def test_found_cut_settles_only_sinks_beyond_it(self):
         """From s = 1 the first cut, {3} for the sink 2, leaves 0 and 9 on

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bchromatic import analysis, constructive as con, exact_oracle as eo, graph_core as gc
 from bchromatic.matching import HallViolator
+from tests import oracles
 from tests.test_analysis import c4_free_ring
 
 
@@ -202,6 +203,34 @@ class TestGreedyExtend:
         g = gc.disjoint_union(gc.generate_cycle(5), gc.generate_cycle(5))
         total = con.greedy_extend(g, con.PartialColoring(3, (None,) * 10), sources=(0,))
         assert None not in total.assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_extend_against_the_reference(data):
+    """greedy_extend gives the reference's colors (a BFS from the sorted
+    distinct sources, then the smallest free color in that order) on random
+    graphs, random proper partial colorings, palettes of max degree + 1 and
+    more, and random sources: duplicated, unsorted, empty or the default."""
+    n = data.draw(st.integers(min_value=0, max_value=14))
+    rng = data.draw(st.randoms(use_true_random=False))
+    p = data.draw(st.floats(min_value=0.0, max_value=0.6))
+    g = gc.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    palette = g.max_degree() + 1 + data.draw(st.integers(min_value=0, max_value=2))
+    share = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    assignment: list[int | None] = [None] * n
+    for v in rng.sample(range(n), n):
+        free = sorted(set(range(1, palette + 1)) - {assignment[u] for u in g.adjacency[v]})
+        if rng.random() < share:
+            assignment[v] = rng.choice(free)
+    partial = con.PartialColoring(palette, tuple(assignment))
+    sources = data.draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)),
+                                             max_size=6 if n else 0).map(tuple))
+    expected = oracles.reference_greedy_extend(
+        g, partial.assignment, palette,
+        partial.assigned_vertices() if sources is None else sources,
+    )
+    assert con.greedy_extend(g, partial, sources=sources) == con.Coloring(palette, expected)
 
 
 class TestReduction:

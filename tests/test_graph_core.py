@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from bchromatic import graph_core as gc
 from tests import oracles
+from tests.test_analysis import compare_outputs
 
 
 class TestGraphBasics:
@@ -364,3 +365,64 @@ def test_serialize_parse_round_trip_random(data):
     edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
     g = gc.Graph.from_edges(n, edges)
     assert gc.parse_edge_list(gc.serialize_edge_list(g)) == g
+
+
+def _parsed(parse, text):
+    """parse(text) as ("graph", graph), or ("error", line, message)."""
+    try:
+        return ("graph", parse(text))
+    except gc.ParseError as exc:
+        return ("error", exc.line, str(exc))
+
+
+FAULTS = ("none", "blank line", "field count", "non-integer", "out of range", "self-loop",
+          "too few lines", "after the edges", "header")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_edge_list_against_the_reference(data):
+    """parse_edge_list and the reference line loop with Graph.from_edges
+    agree, graph for graph or error for error (line and message), on valid
+    texts with tabs, CRLF endings, repeated and reversed edges, and on texts
+    with one fault injected."""
+    n = data.draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    gap = st.sampled_from([" ", "\t", "  ", " \t "])
+    edge_lines = [f"{data.draw(st.sampled_from(['', ' ', chr(9)]))}{u}{data.draw(gap)}{v}"
+                  for u, v in edges]
+    fault = data.draw(st.sampled_from(FAULTS))
+    at = data.draw(st.integers(min_value=0, max_value=len(edge_lines)))
+    if fault == "blank line":
+        edge_lines.insert(at, data.draw(st.sampled_from(["", " ", "\t"])))
+    elif fault == "field count":
+        edge_lines.insert(at, data.draw(st.sampled_from(["3", "0 1 2", "1  2 3 4"])))
+    elif fault == "non-integer":
+        edge_lines.insert(at, data.draw(st.sampled_from(["0 x", "y 1", "1.5 2", "0x1 2", "1 2,"])))
+    elif fault == "out of range":
+        bad = data.draw(st.sampled_from([-1, n, n + 3]))
+        other = data.draw(st.sampled_from([bad, 0]))
+        edge_lines.insert(at, data.draw(st.sampled_from([f"{bad} {other}", f"{other} {bad}"])))
+    elif fault == "self-loop" and n:
+        u = data.draw(st.integers(min_value=0, max_value=n - 1))
+        edge_lines.insert(at, f"{u} {u}")
+    # the injected line is one of the m declared edge lines
+    header = f"{n} {len(edge_lines)}"
+    if fault == "too few lines":
+        header = f"{n} {len(edge_lines) + data.draw(st.integers(min_value=1, max_value=3))}"
+    elif fault == "after the edges":
+        edge_lines += ["", data.draw(st.sampled_from(["0 1", "junk", "\t#"]))]
+    elif fault == "header":
+        header = data.draw(st.sampled_from(["", f"{n}", f"{n} {len(edges)} 0", f"{n} m",
+                                            f"-1 {len(edges)}", f"{n} -2", "1000001 0"]))
+    ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+    tail = data.draw(st.sampled_from(["", ending, ending * 2 + " "]))
+    text = ending.join([header, *edge_lines]) + tail
+    assert _parsed(gc.parse_edge_list, text) == _parsed(oracles.reference_parse_edge_list, text)
+
+
+@pytest.mark.parametrize("name", sorted(compare_outputs.EDGE_LIST_TEXTS))
+def test_parse_edge_list_on_the_compared_texts(name):
+    text = compare_outputs.EDGE_LIST_TEXTS[name]
+    assert _parsed(gc.parse_edge_list, text) == _parsed(oracles.reference_parse_edge_list, text)
