@@ -21,6 +21,7 @@ from bchromatic.constructive import (
     Coloring,
     ConstructionOutcome,
     HypothesisRejection,
+    VerificationReport,
     construct_auto_bcoloring,
     construct_connectivity_bcoloring,
     construct_diameter_bcoloring,
@@ -176,16 +177,13 @@ def _color_with_strategy(g: Graph, args: argparse.Namespace) -> ConstructionOutc
     return construct_auto_bcoloring(g)
 
 
-def certificate_dict(outcome: ConstructionOutcome) -> dict:
-    dominating = {
-        str(color): vertex
-        for color, vertex in sorted(outcome.report.realized.items())
-    }
+def certificate_dict(coloring: Coloring, report: VerificationReport) -> dict:
+    """The JSON body of a coloring: its palette, its assignment and, per
+    color, the smallest dominating vertex that `report` found."""
     return {
-        "palette": outcome.coloring.palette_size,
-        "assignment": list(outcome.coloring.assignment),
-        "dominating": dominating,
-        "strategy": outcome.strategy,
+        "palette": coloring.palette_size,
+        "assignment": list(coloring.assignment),
+        "dominating": {str(c): v for c, v in sorted(report.realized.items())},
     }
 
 
@@ -193,7 +191,8 @@ def _run_color(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     # outcome.report is the construction's own verification of outcome.coloring
     outcome = _color_with_strategy(g, args)
-    print(json.dumps(certificate_dict(outcome), indent=2))
+    payload = {**certificate_dict(outcome.coloring, outcome.report), "strategy": outcome.strategy}
+    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -203,11 +202,7 @@ def _run_exact(args: argparse.Namespace) -> int:
     result = exact_b_chromatic(g, ceiling=args.oracle_ceiling)
     payload = {
         "phi": result.phi,
-        "witness": {
-            "palette": result.witness.palette_size,
-            "assignment": list(result.witness.assignment),
-            "dominating": {str(c): v for c, v in sorted(result.report.realized.items())},
-        },
+        "witness": certificate_dict(result.witness, result.report),
         "explored": result.explored,
     }
     print(json.dumps(payload, indent=2))

@@ -49,9 +49,6 @@ class PartialColoring:
     palette_size: int
     assignment: tuple[int | None, ...]
 
-    def assigned_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, c in enumerate(self.assignment) if c is not None)
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -305,22 +302,27 @@ class ConstructionTrace:
     centers: list[int] = field(default_factory=list)
     seed_steps: list[SeedStepRecord] = field(default_factory=list)
     reduction_passes: list[ReductionPassRecord] = field(default_factory=list)
-    triangle_mode: bool = False
 
 
 def _seed_rings(
-    g: Graph, center: int, ordered_neighbors: tuple[int, ...], steps: int, bounded: bool
-) -> tuple[dict[int, int], list[SeedStepRecord]] | HallViolator:
+    g: Graph,
+    center: int,
+    ordered_neighbors: tuple[int, ...],
+    steps: int,
+    trace: ConstructionTrace | None,
+) -> dict[int, int] | HallViolator:
     """The canonical seeding every seeding route shares: the center takes
     d+1, the j-th ordered neighbor j, and for i = 1..steps the ring of the
     i-th neighbor v_i (its neighbors outside the center's closed
     neighborhood) is matched onto the colors v_i does not yet see.
 
-    Returns the colors of the seeded vertices with one record per ring, or
-    the Hall violator of the first ring that has no matching. The counting
-    guarantees are asserted at runtime. A bounded seeding (at most the
-    paper's number of steps) also asserts the half-degree condition, which
-    is what makes its matchings exist.
+    Returns the colors of the seeded vertices, or the Hall violator of the
+    first ring that has no matching. Once every ring has matched, the center
+    and one record per ring go to the trace; without a trace no record is
+    built. The counting guarantees are asserted at runtime. A seeding of at
+    most d // 2 + 1 steps, the most validate_seed_plan accepts, also asserts
+    the half-degree condition, which is what makes its matchings exist; the
+    full seeding does not.
     """
     d = len(ordered_neighbors)
     nv = g.neighbor_sets[center]
@@ -358,7 +360,7 @@ def _seed_rings(
                     edges.add((x, c))
                     degree_left[x] += 1
                     degree_right[c] += 1
-        if bounded and ring:
+        if ring and steps <= d // 2 + 1:
             worst = min(min(degree_left.values()), min(degree_right.values()))
             if 2 * worst < len(ring):
                 raise ConstructionInvariantError(
@@ -370,10 +372,14 @@ def _seed_rings(
         )
         if isinstance(outcome, HallViolator):
             return outcome
-        placed = tuple(sorted(outcome.pairs))
-        colors.update(placed)
-        records.append(SeedStepRecord(center, i, vi, tuple(ring), tuple(needed), placed))
-    return colors, records
+        colors.update(outcome.pairs)
+        if trace is not None:
+            placed = tuple(sorted(outcome.pairs))
+            records.append(SeedStepRecord(center, i, vi, tuple(ring), tuple(needed), placed))
+    if trace is not None:
+        trace.centers.append(center)
+        trace.seed_steps.extend(records)
+    return colors
 
 
 def seed_dominating_neighborhood(
@@ -393,17 +399,12 @@ def seed_dominating_neighborhood(
     """
     d = len(plan.ordered_neighbors)
     center = plan.center
-    seeded = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, bounded=True)
-    if isinstance(seeded, HallViolator):
+    colors = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, trace)
+    if isinstance(colors, HallViolator):
         raise ConstructionInvariantError(
             f"a ring has no perfect color matching: its Hall violator of size "
-            f"{len(seeded.left_subset)} can take {len(seeded.neighborhood)} colors"
+            f"{len(colors.left_subset)} can take {len(colors.neighborhood)} colors"
         )
-    colors, records = seeded
-    if trace is not None:
-        trace.centers.append(center)
-        trace.triangle_mode = trace.triangle_mode or plan.triangle_mode
-        trace.seed_steps.extend(records)
 
     full = set(range(1, d + 2))
     for w in (center, *plan.ordered_neighbors[: plan.steps]):
@@ -430,20 +431,16 @@ def realized_targets(plan: SeedPlan, d: int) -> tuple[int, ...]:
 # extension and reduction
 # ----------------------------------------------------------------------------
 
-def greedy_extend(
-    g: Graph, partial: PartialColoring, sources: tuple[int, ...] | None = None
-) -> Coloring:
+def greedy_extend(g: Graph, partial: PartialColoring, sources: tuple[int, ...]) -> Coloring:
     """Complete a partial coloring with the smallest color missing from each
-    neighborhood, visiting uncolored vertices in BFS order from `sources`
-    (default: the already-colored vertices). Needs palette >= max degree + 1.
+    neighborhood, visiting uncolored vertices in BFS order from `sources`.
+    Needs palette >= max degree + 1.
     """
     if partial.palette_size < g.max_degree() + 1:
         raise ValueError("greedy extension needs palette at least max degree + 1")
     validate_partial_coloring(g, partial)
     n = g.vertex_count
     adj = g.adjacency
-    if sources is None:
-        sources = partial.assigned_vertices()
     # the BFS queue is the visiting order: it grows while it is walked
     order = sorted(set(sources))
     seen = [False] * n
@@ -470,8 +467,9 @@ def greedy_extend(
 
 def reduce_unrealized(
     g: Graph, c: Coloring, trace: ConstructionTrace | None = None
-) -> Coloring:
-    """Exchange away unrealized colors until the coloring is a b-coloring.
+) -> tuple[Coloring, VerificationReport]:
+    """Exchange away unrealized colors until the coloring is a b-coloring;
+    returns it with the verification of the last pass.
 
     While some used color has no dominating vertex, take the smallest such
     color and recolor each of its vertices (ascending) to the smallest used
@@ -480,13 +478,6 @@ def reduce_unrealized(
     the scan order irrelevant. Each pass removes one color and never harms an
     existing dominating vertex, so at most |used| passes run.
     """
-    return _reduce_unrealized(g, c, trace)[0]
-
-
-def _reduce_unrealized(
-    g: Graph, c: Coloring, trace: ConstructionTrace | None
-) -> tuple[Coloring, VerificationReport]:
-    # reduce_unrealized, also returning the verification of its last pass
     colors = list(c.assignment)
     while True:
         report = verify_bcoloring(g, Coloring(c.palette_size, tuple(colors)))
@@ -646,7 +637,7 @@ def construct_lower_bound_bcoloring(
     plan = plan_seed(g, center, t, triangle_mode)
     partial = seed_dominating_neighborhood(g, plan, trace=trace)
     total = greedy_extend(g, partial, sources=(center,))
-    reduced, report = _reduce_unrealized(g, total, trace=trace)
+    reduced, report = reduce_unrealized(g, total, trace=trace)
     kept = realized_targets(plan, d)
     if any(report.realized.get(c) is None for c in kept):
         raise ConstructionInvariantError(
@@ -784,16 +775,11 @@ def _full_seed_at(
 ) -> ConstructionOutcome | HallViolator:
     # the full seeding at one center, extended and verified, or the Hall
     # violator of the ring that rejects this center
-    seeded = _seed_rings(g, center, g.adjacency[center], d, bounded=False)
-    if isinstance(seeded, HallViolator):
-        return seeded
-    colors, records = seeded
+    colors = _seed_rings(g, center, g.adjacency[center], d, trace)
+    if isinstance(colors, HallViolator):
+        return colors
     partial = PartialColoring(d + 1, tuple(map(colors.get, range(g.vertex_count))))
-    outcome = _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)))
-    if trace is not None:
-        trace.centers.append(center)
-        trace.seed_steps.extend(records)
-    return outcome
+    return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)))
 
 
 def _first_full_seed(

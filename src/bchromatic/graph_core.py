@@ -137,8 +137,10 @@ def parse_edge_list(text: str) -> Graph:
     if n > PARSE_VERTEX_CEILING:
         raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
 
-    # each edge goes into the adjacency sets in the loop that checks its line
-    adj: list[set[int]] = [set() for _ in range(n)]
+    # each edge goes into the adjacency sets in the loop that checks its line;
+    # a vertex's set is made at its first edge, and a vertex with no edge
+    # keeps (), so a large header over a short text allocates no set
+    adj: list[set[int] | tuple[()]] = [()] * n
     found = min(m, len(lines) - 1)
     for idx in range(1, found + 1):
         parts = lines[idx].split()
@@ -154,6 +156,8 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(idx + 1, f"edge ({u}, {v}) out of range for {n} vertices")
         if u == v:
             raise ParseError(idx + 1, f"self-loop at vertex {u}")
+        adj[u] = adj[u] or set()
+        adj[v] = adj[v] or set()
         adj[u].add(v)
         adj[v].add(u)
     if found < m:
@@ -161,7 +165,7 @@ def parse_edge_list(text: str) -> Graph:
     for rest in range(m + 1, len(lines)):
         if lines[rest].strip():
             raise ParseError(rest + 1, "unexpected content after the declared edges")
-    return Graph(n, tuple(tuple(sorted(ns)) for ns in adj))
+    return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -165,7 +165,8 @@ class TestSeeding:
     def test_half_degree_assertion_only_in_bounded_seedings(self):
         # 4-regular, with 4-cycles away from vertex 0 only: both rings of a
         # 2-step seeding at 0 have matchings, but one availability degree is
-        # below half the ring
+        # below half the ring. The full seeding at 0 walks the same two rings
+        # first and asserts nothing: a later ring's Hall violator rejects it.
         g = gc.Graph.from_edges(16, [
             (0, 2), (0, 11), (0, 12), (0, 14), (1, 6), (1, 8), (1, 9), (1, 10),
             (2, 5), (2, 13), (2, 15), (3, 4), (3, 11), (3, 13), (3, 15), (4, 7),
@@ -175,8 +176,8 @@ class TestSeeding:
         plan = con.plan_seed(g, 0, 2)
         with pytest.raises(con.ConstructionInvariantError, match="below half"):
             con.seed_dominating_neighborhood(g, plan)
-        _, records = con._seed_rings(g, 0, plan.ordered_neighbors, 2, bounded=False)
-        assert len(records) == 2
+        assert plan.ordered_neighbors == g.adjacency[0]
+        assert isinstance(con._full_seed_at(g, 4, 0, None), HallViolator)
 
     def test_trace_records_steps(self, petersen):
         trace = con.ConstructionTrace()
@@ -197,7 +198,7 @@ class TestGreedyExtend:
 
     def test_needs_enough_colors(self, petersen):
         with pytest.raises(ValueError):
-            con.greedy_extend(petersen, con.PartialColoring(3, (None,) * 10))
+            con.greedy_extend(petersen, con.PartialColoring(3, (None,) * 10), sources=(0,))
 
     def test_covers_unreached_components(self):
         g = gc.disjoint_union(gc.generate_cycle(5), gc.generate_cycle(5))
@@ -211,7 +212,8 @@ def test_greedy_extend_against_the_reference(data):
     """greedy_extend gives the reference's colors (a BFS from the sorted
     distinct sources, then the smallest free color in that order) on random
     graphs, random proper partial colorings, palettes of max degree + 1 and
-    more, and random sources: duplicated, unsorted, empty or the default."""
+    more, and random sources: duplicated, unsorted, empty or the colored
+    vertices."""
     n = data.draw(st.integers(min_value=0, max_value=14))
     rng = data.draw(st.randoms(use_true_random=False))
     p = data.draw(st.floats(min_value=0.0, max_value=0.6))
@@ -224,12 +226,10 @@ def test_greedy_extend_against_the_reference(data):
         if rng.random() < share:
             assignment[v] = rng.choice(free)
     partial = con.PartialColoring(palette, tuple(assignment))
-    sources = data.draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)),
-                                             max_size=6 if n else 0).map(tuple))
-    expected = oracles.reference_greedy_extend(
-        g, partial.assignment, palette,
-        partial.assigned_vertices() if sources is None else sources,
-    )
+    colored = tuple(v for v, c in enumerate(assignment) if c is not None)
+    sources = data.draw(st.just(colored) | st.lists(st.integers(0, max(n - 1, 0)),
+                                                    max_size=6 if n else 0).map(tuple))
+    expected = oracles.reference_greedy_extend(g, partial.assignment, palette, sources)
     assert con.greedy_extend(g, partial, sources=sources) == con.Coloring(palette, expected)
 
 
@@ -237,15 +237,15 @@ class TestReduction:
     def test_already_b_coloring_is_returned_unchanged(self):
         g = gc.generate_cycle(3)
         c = con.Coloring(3, (1, 2, 3))
-        assert con.reduce_unrealized(g, c) == c
+        assert con.reduce_unrealized(g, c) == (c, con.verify_bcoloring(g, c))
 
     def test_removes_unrealizable_color(self):
         g = gc.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         c = con.Coloring(3, (1, 2, 1, 3))
         trace = con.ConstructionTrace()
-        out = con.reduce_unrealized(g, c, trace=trace)
+        out, report = con.reduce_unrealized(g, c, trace=trace)
         rep = con.verify_bcoloring(g, out)
-        assert rep.is_b_coloring
+        assert rep.is_b_coloring and report == rep
         assert len(trace.reduction_passes) >= 1
 
     def test_improper_input_rejected(self):
@@ -256,18 +256,18 @@ class TestReduction:
     def test_complete_bipartite_collapses_to_two(self):
         g = gc.generate_complete_bipartite(3)
         c = con.Coloring(4, (1, 1, 2, 3, 3, 4))
-        out = con.reduce_unrealized(g, c)
+        out, report = con.reduce_unrealized(g, c)
         rep = con.verify_bcoloring(g, out)
-        assert rep.is_b_coloring and len(rep.used_colors) == 2
+        assert rep.is_b_coloring and len(rep.used_colors) == 2 and report == rep
 
     def test_pass_count_bounded_by_initial_colors(self):
         rng = random.Random(11)
         for _ in range(30):
             d, n = rng.choice([(3, 14), (3, 20), (4, 24)])
             g = gc.generate_random_c4_free_regular(d, n, rng.randrange(100))
-            total = con.greedy_extend(g, con.PartialColoring(d + 1, (None,) * n))
+            total = con.greedy_extend(g, con.PartialColoring(d + 1, (None,) * n), sources=())
             trace = con.ConstructionTrace()
-            out = con.reduce_unrealized(g, total, trace=trace)
+            out, _ = con.reduce_unrealized(g, total, trace=trace)
             assert con.verify_bcoloring(g, out).is_b_coloring
             assert len(trace.reduction_passes) <= len(set(total.assignment))
 
@@ -565,6 +565,42 @@ class TestCertification:
         plans = (con.plan_seed(g, 0, 0), con.plan_seed(g, far, 0))
         with pytest.raises(con.ConstructionInvariantError, match="second seeding"):
             con._two_center_finish(g, 3, "diameter", plans, None)
+
+
+class TestTrace:
+    """_seed_rings writes the seeding's part of the trace, once every ring
+    has matched, and builds no record without a trace."""
+
+    @pytest.mark.parametrize("route,beads", [
+        (con.construct_diameter_bcoloring, 4),
+        (con.construct_connectivity_bcoloring, 3),
+    ], ids=["diameter", "connectivity"])
+    def test_two_center_routes_trace_both_plans(self, route, beads):
+        g = gc.generate_cubic_chain(beads)
+        trace = con.ConstructionTrace()
+        out = route(g, trace=trace)
+        assert len(out.plans) == 2
+        assert trace.centers == [plan.center for plan in out.plans]
+        assert len(trace.seed_steps) == sum(plan.steps for plan in out.plans)
+        assert [rec.center for rec in trace.seed_steps] == [
+            plan.center for plan in out.plans for _ in range(plan.steps)
+        ]
+
+    def test_no_record_without_a_trace(self, monkeypatch, petersen):
+        built = []
+        record = con.SeedStepRecord
+
+        def counting_record(*args):
+            built.append(args)
+            return record(*args)
+
+        monkeypatch.setattr(con, "SeedStepRecord", counting_record)
+        con.construct_auto_bcoloring(gc.generate_cubic_chain(3))
+        con.construct_lower_bound_bcoloring(petersen)
+        assert built == []
+        # the stand-in is the one _seed_rings builds: two steps at the center
+        con.construct_lower_bound_bcoloring(petersen, trace=con.ConstructionTrace())
+        assert len(built) == 2
 
 
 def _c4_free(adj):

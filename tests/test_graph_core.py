@@ -76,6 +76,21 @@ class TestEdgeListFormat:
         with pytest.raises(gc.ParseError, match="line 1.*ceiling"):
             gc.parse_edge_list("5 0\n")
 
+    def test_large_header_over_a_short_text_allocates_no_sets(self):
+        # one set per declared vertex would take about 40 MB here
+        tracemalloc.start()
+        try:
+            with pytest.raises(gc.ParseError, match="^line 4: expected 3 edge lines, found 2$"):
+                gc.parse_edge_list("200000 3\n0 1\n1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
+    def test_vertices_without_edges_get_empty_adjacency(self):
+        g = gc.parse_edge_list("5 2\n0 1\n1 2\n")
+        assert g.adjacency == ((1,), (0, 2), (1,), (), ())
+
 
 class TestDimacsFormat:
     def test_parse_with_comments(self):
