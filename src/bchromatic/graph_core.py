@@ -8,6 +8,7 @@ count and the same edge set.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -137,11 +138,12 @@ def parse_edge_list(text: str) -> Graph:
     if n > PARSE_VERTEX_CEILING:
         raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
 
-    # each edge goes into the adjacency sets in the loop that checks its line;
-    # a vertex's set is made at its first edge, and a vertex with no edge
-    # keeps (), so a large header over a short text allocates no set
-    adj: list[set[int] | tuple[()]] = [()] * n
+    # each edge goes into the adjacency sets in the loop that checks its line.
+    # Every vertex gets its set up front when the edge lines present can reach
+    # them all; past that, only the vertices the lines name get one, so a large
+    # header over a short text allocates no set per vertex
     found = min(m, len(lines) - 1)
+    adj = [set() for _ in range(n)] if n <= 2 * found else defaultdict(set)
     for idx in range(1, found + 1):
         parts = lines[idx].split()
         if len(parts) != 2:
@@ -156,8 +158,6 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(idx + 1, f"edge ({u}, {v}) out of range for {n} vertices")
         if u == v:
             raise ParseError(idx + 1, f"self-loop at vertex {u}")
-        adj[u] = adj[u] or set()
-        adj[v] = adj[v] or set()
         adj[u].add(v)
         adj[v].add(u)
     if found < m:
@@ -165,6 +165,8 @@ def parse_edge_list(text: str) -> Graph:
     for rest in range(m + 1, len(lines)):
         if lines[rest].strip():
             raise ParseError(rest + 1, "unexpected content after the declared edges")
+    if isinstance(adj, defaultdict):
+        adj = [adj.get(w, ()) for w in range(n)]
     return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
