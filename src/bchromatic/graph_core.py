@@ -167,7 +167,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(rest + 1, "unexpected content after the declared edges")
     if isinstance(adj, defaultdict):
         adj = [adj.get(w, ()) for w in range(n)]
-    return Graph(n, tuple(map(tuple, map(sorted, adj))))
+    return Graph(n, tuple(tuple(sorted(ns)) for ns in adj))
 
 
 def serialize_edge_list(g: Graph) -> str:
