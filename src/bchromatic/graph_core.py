@@ -8,7 +8,6 @@ count and the same edge set.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -138,12 +137,11 @@ def parse_edge_list(text: str) -> Graph:
     if n > PARSE_VERTEX_CEILING:
         raise ParseError(1, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
 
-    # each edge goes into the adjacency sets in the loop that checks its line.
-    # Every vertex gets its set up front when the edge lines present can reach
-    # them all; past that, only the vertices the lines name get one, so a large
-    # header over a short text allocates no set per vertex
+    # each edge goes into the adjacency sets in the loop that checks its line;
+    # a vertex's set is made at its first edge and a vertex with no edge keeps
+    # None, so a large header over a short text allocates no set per vertex
+    adj: list[set[int] | None] = [None] * n
     found = min(m, len(lines) - 1)
-    adj = [set() for _ in range(n)] if n <= 2 * found else defaultdict(set)
     for idx in range(1, found + 1):
         parts = lines[idx].split()
         if len(parts) != 2:
@@ -158,16 +156,22 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(idx + 1, f"edge ({u}, {v}) out of range for {n} vertices")
         if u == v:
             raise ParseError(idx + 1, f"self-loop at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
+        nu = adj[u]
+        if nu is None:
+            adj[u] = {v}
+        else:
+            nu.add(v)
+        nv = adj[v]
+        if nv is None:
+            adj[v] = {u}
+        else:
+            nv.add(u)
     if found < m:
         raise ParseError(len(lines) + 1, f"expected {m} edge lines, found {found}")
     for rest in range(m + 1, len(lines)):
         if lines[rest].strip():
             raise ParseError(rest + 1, "unexpected content after the declared edges")
-    if isinstance(adj, defaultdict):
-        adj = [adj.get(w, ()) for w in range(n)]
-    return Graph(n, tuple(tuple(sorted(ns)) for ns in adj))
+    return Graph(n, tuple(tuple(sorted(ns)) if ns else () for ns in adj))
 
 
 def serialize_edge_list(g: Graph) -> str:

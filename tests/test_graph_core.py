@@ -87,6 +87,10 @@ class TestEdgeListFormat:
             tracemalloc.stop()
         assert peak < 5_000_000
 
+    def test_vertices_without_edges_get_empty_adjacency(self):
+        g = gc.parse_edge_list("5 2\n0 1\n1 2\n")
+        assert g.adjacency == ((1,), (0, 2), (1,), (), ())
+
 
 class TestDimacsFormat:
     def test_parse_with_comments(self):
