@@ -6,10 +6,12 @@ OTHER_SRC is the `src` directory of another checkout, for example the parent
 commit's. Builds a fixed corpus in-process from graph_core: the cycles C5
 and C7 (d = 2, the small case), Petersen, two and three disjoint copies of
 Petersen (kappa = 0, the second with three components), Heawood, cubic
-chains of 2-5 beads, the bridge pair,
-generalized Petersen graphs, N graphs random:d,n for each d = 3-5, N
-rings of three random C4-free 4-regular blocks, and random:3,1000 and
-random:4,1000 (seed 0). Each graph's edge-list text
+chains of 2-5 beads, the bridge pair, the cube labelled so that the greedy
+path search falls short (CUBE_EDGES), chains of 3 and 6 circulants
+(kappa = 3 < delta = 5, the only graphs here whose analyze runs the
+kappa + 1 sweep), generalized Petersen graphs, N graphs random:d,n for
+each d = 3-5, N rings of three random C4-free 4-regular blocks, and
+random:3,1000 and random:4,1000 (seed 0). Each graph's edge-list text
 is the stdin of `color` with every strategy (auto included), of `analyze`
 with text and JSON output, and of `exact` (graphs above its 24-vertex
 ceiling exit 2 at once), and its DIMACS text is the stdin of `analyze
@@ -54,6 +56,11 @@ COMMANDS = [["color", "--strategy", s] for s in STRATEGIES] + [
 
 RANDOM_SIZES = {3: 30, 4: 40, 5: 50}
 
+# the cube, labelled so that 0 and 7 are antipodal: the greedy path search
+# finds two of the three disjoint paths between them, and the flow the third
+CUBE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
+              (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
+
 # edge-list texts that parse_edge_list rejects, one per check it makes, and
 # three that it accepts: tabs with CRLF endings, a repeated edge and a
 # reversed one
@@ -93,6 +100,21 @@ def ring_of_blocks(blocks: list[gc.Graph]) -> gc.Graph:
     return gc.Graph.from_edges(shift, edges)
 
 
+def chain_of_circulants(blocks: int) -> gc.Graph:
+    """blocks copies of the circulant C12(1, 2, 3) in a chain, consecutive
+    ones joined by the 3 edges 7-0, 9-2 and 11-4 that replace the matching
+    6-7, 8-9, 10-11 of the first and 0-1, 2-3, 4-5 of the second: kappa = 3
+    < delta = 5 for two or more blocks."""
+    edges = []
+    for b in range(0, 12 * blocks, 12):
+        drop = {(0, 1), (2, 3), (4, 5)} if b else set()
+        drop |= {(6, 7), (8, 9), (10, 11)} if b < 12 * (blocks - 1) else set()
+        edges += [(b + i, b + (i + o) % 12) for i in range(12) for o in (1, 2, 3)
+                  if tuple(sorted((i, (i + o) % 12))) not in drop]
+        edges += [(b - 12 + x, b + y) for x, y in ((7, 0), (9, 2), (11, 4)) if b]
+    return gc.Graph.from_edges(12 * blocks, edges)
+
+
 def dimacs_text(g: gc.Graph) -> str:
     """g as DIMACS .col text, whose vertices are 1-based."""
     lines = [f"p edge {g.vertex_count} {g.edge_count}"]
@@ -108,6 +130,8 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     graphs["petersen*3"] = gc.disjoint_union(graphs["petersen*2"], petersen)
     graphs |= {f"chain:{b}": gc.generate_cubic_chain(b) for b in range(2, 6)}
     graphs["bridge-pair"] = gc.generate_cubic_bridge_pair()
+    graphs["cube"] = gc.Graph.from_edges(8, CUBE_EDGES)
+    graphs |= {f"circulant-chain:{b}": chain_of_circulants(b) for b in (3, 6)}
     graphs |= {f"gp:{n},{k}": gc.generate_generalized_petersen(n, k)
                for n, k in ((7, 2), (8, 3))}
     for seed in range(count):

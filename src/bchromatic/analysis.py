@@ -225,91 +225,84 @@ class CutCertificate:
     components: tuple[tuple[int, ...], ...]
 
 
-def _split_graph(g: Graph) -> tuple[list[int], list[int], list[list[int]]]:
-    """The vertex-split flow network as flat arc arrays (head, capacity, arcs
-    out of each node). Node 2v is v_in and 2v + 1 is v_out. Arc 2v runs
-    v_in -> v_out with capacity 1; each edge uv adds u_out -> v_in and
-    v_out -> u_in with capacity n + 1. The reverse of arc a is arc a ^ 1, at
-    capacity 0."""
-    n = g.vertex_count
-    head: list[int] = []
-    cap: list[int] = []
-    out: list[list[int]] = [[] for _ in range(2 * n)]
-
-    def arc(x: int, y: int, c: int) -> None:
-        out[x].append(len(head))
-        out[y].append(len(head) + 1)
-        head.extend((y, x))
-        cap.extend((c, 0))
-
-    for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        arc(2 * u + 1, 2 * v, n + 1)
-        arc(2 * v + 1, 2 * u, n + 1)
-    return head, cap, out
-
-
 def _min_vertex_cut(
-    split: tuple[list[int], list[int], list[list[int]]], s: int, t: int, cap_limit: int
+    adj: list[list[int]], s: int, t: int, cap: int, flow: int, prev: dict[int, int]
 ) -> tuple[int, tuple[int, ...] | None, list[int]]:
-    """Minimum s-t vertex cut by unit-capacity flow on a copy of the split
-    graph's capacities (from _split_graph) with the internal arcs of s and t
-    closed.
+    """Minimum s-t vertex cut by unit-capacity flow on the vertex-split
+    graph, from the flow of the paths that prev records (_disjoint_paths)
+    and up to cap. Node 2v is v_in and 2v + 1 is v_out; the flow runs from
+    s_out to t_in. Each edge uv gives the arcs u_out -> v_in and
+    v_out -> u_in of capacity n + 1, and each v other than s and t the arc
+    v_in -> v_out of capacity 1. The residual arcs are read off adj and
+    prev, which maps each vertex on the flow's paths to the one before it:
+    v_out -> u_in for every neighbour u, v_out -> v_in and
+    v_in -> prev[v]_out when v is on a path, and v_in -> v_out when it is
+    not. Each augmentation updates prev in place.
 
-    Returns (flow, cut, beyond) when the flow is exhausted below cap_limit,
-    else (cap_limit, None, []) once the limit is reached (search aborted).
-    The cut is read off the nodes the last, failed BFS labels from the
-    source: the v with v_in labelled and v_out not. That set is the same for
-    every maximum flow, so arc order does not change it. beyond lists the
-    vertices whose v_in it leaves unlabelled; apart from s, those are the
-    vertices neither in the cut nor in the component of s in g minus the cut.
+    Returns (flow, cut, beyond) when the flow is exhausted below cap, else
+    (cap, None, []) once cap is reached (search aborted). The cut is read
+    off the nodes the last, failed BFS labels from the source: the v with
+    v_in labelled and v_out not. That set is the same for every maximum
+    flow, whichever flow it started from, so neither the paths nor the arc
+    order change it. beyond lists the vertices whose v_in it leaves
+    unlabelled; apart from s, those are the vertices neither in the cut
+    nor in the component of s in g minus the cut.
     """
-    head, base, out = split
-    n = len(out) // 2
-    cap = base[:]
-    # s and t are the flow's ends (source s_out, sink t_in), never cut vertices
-    cap[2 * s] = cap[2 * t] = 0
+    n = len(adj)
+    # the internal arcs of s and t stay closed: s_in -> s_out leads only to
+    # the labelled source, and the search stops at t_in, so neither is cut
     source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < cap_limit:
-        via = [-1] * (2 * n)  # the arc that labelled each node
-        via[source] = -2
+    while flow < cap:
+        via = [-1] * (2 * n)  # the node that labelled each node
+        via[source] = source
         queue = [source]
         for x in queue:
-            for a in out[x]:
-                y = head[a]
-                if cap[a] and via[y] == -1:
-                    via[y] = a
+            v = x >> 1
+            if x & 1:
+                for y in adj[v]:
+                    if via[2 * y] == -1:
+                        via[2 * y] = x
+                        queue.append(2 * y)
+                if v in prev and via[x - 1] == -1:
+                    via[x - 1] = x
+                    queue.append(x - 1)
+            else:
+                y = 2 * prev[v] + 1 if v in prev else x + 1
+                if via[y] == -1:
+                    via[y] = x
                     queue.append(y)
             if via[sink] != -1:
                 break
         else:
-            cut = tuple(
-                v for v in range(n)
-                if v != s and v != t and via[2 * v] != -1 and via[2 * v + 1] == -1
-            )
+            cut = tuple(v for v in range(n) if via[2 * v] != -1 and via[2 * v + 1] == -1)
             if len(cut) != flow:
                 raise AssertionError("min-cut extraction disagrees with flow value")
             return flow, cut, [v for v in range(n) if via[2 * v] == -1]
-        y = sink
+        # augment: each v_in on the path takes as prev[v] the vertex whose
+        # out-node labelled it, or leaves the paths when v_out labelled it
+        y = via[sink]
         while y != source:
-            a = via[y]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            y = head[a ^ 1]
+            x = via[y]
+            if not y & 1:
+                if x == y + 1:
+                    del prev[y >> 1]
+                else:
+                    prev[y >> 1] = x >> 1
+            y = x
         flow += 1
     return flow, None, []
 
 
-def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> bool:
-    """Whether cap internally disjoint paths join the non-adjacent s and t,
-    found greedily one at a time, each by a bidirectional BFS (Pohl 1971)
-    that grows the smaller frontier and avoids the inner vertices of the
-    paths found before it. True is exact: by Menger's theorem a flow from s
-    to t capped at cap would reach cap. False may miss paths that exist."""
-    inner: set[int] = set()
-    for _ in range(cap):
+def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> tuple[int, dict[int, int]]:
+    """(found, prev): up to cap internally disjoint paths joining the
+    non-adjacent s and t, found greedily one at a time, each by a
+    bidirectional BFS (Pohl 1971) that grows the smaller frontier and
+    avoids the inner vertices of the paths found before it. prev maps each
+    inner vertex of the found paths to the vertex before it on its path
+    from s. found = cap is exact: by Menger's theorem a flow from s to t
+    capped at cap would reach cap. Fewer may miss paths that exist."""
+    prev: dict[int, int] = {}
+    for found in range(cap):
         trees = [{s: -1}, {t: -1}]  # the BFS from each end: vertex -> its parent
         fronts = [[s], [t]]
         link = None
@@ -319,7 +312,7 @@ def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> bool:
             grown = []
             for x in fronts[k]:
                 for y in adj[x]:
-                    if y in own or y in inner:
+                    if y in own or y in prev:
                         continue
                     if y in other:
                         link = (x, y)
@@ -329,13 +322,17 @@ def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> bool:
                 if link is not None:
                     break
             if link is None and not grown:
-                return False
+                return found, prev
             fronts[k] = grown
-        for x, tree in zip(link, (own, other)):
-            while tree[x] != -1:
-                inner.add(x)
-                x = tree[x]
-    return True
+        a, b = link[::-1] if k else link  # a on the side of s, b on that of t
+        x = a
+        while b != t:
+            prev[b] = x
+            x, b = b, trees[1][b]
+        while a != s:
+            prev[a] = trees[0][a]
+            a = prev[a]
+    return cap, prev
 
 
 def vertex_connectivity(g: Graph) -> CutCertificate:
@@ -354,10 +351,9 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     disjoint paths between the pair; by Menger's theorem finding them means
     the flow would reach its cap, so it is skipped. When the greedy search
     falls short, which it always does on a pair split by fewer than cap
-    vertices, the flow runs after it. The split graph of the flows is built
-    at the first one. Each flow is charged the arcs of the whole split
-    graph, and a call whose flows pass _FLOW_ARC_BUDGET arcs raises
-    CeilingExceeded.
+    vertices, the flow goes on from the paths it found. Each flow is
+    charged the arcs of the whole split graph, 2n + 4m, and a call whose
+    flows pass _FLOW_ARC_BUDGET arcs raises CeilingExceeded.
 
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
@@ -412,23 +408,21 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     adj = g.adjacency
-    split = None
     work = 0
 
     def capped_flow(s: int, t: int, cap: int) -> tuple[int, tuple[int, ...] | None, list[int]]:
-        """_min_vertex_cut(split, s, t, cap), or (cap, None, []) with no
-        flow when cap disjoint paths join s and t."""
-        nonlocal split, work
-        if _disjoint_paths(adj, s, t, cap):
+        """_min_vertex_cut from the paths of _disjoint_paths, or
+        (cap, None, []) with no flow when cap disjoint paths join s and t."""
+        nonlocal work
+        found, prev = _disjoint_paths(adj, s, t, cap)
+        if found == cap:
             return cap, None, []
-        if split is None:
-            split = _split_graph(g)
-        work += len(split[0])
+        work += 2 * n + 4 * g.edge_count
         if work > _FLOW_ARC_BUDGET:
             raise CeilingExceeded(
                 f"vertex connectivity flows passed {_FLOW_ARC_BUDGET} split-graph arcs"
             )
-        return _min_vertex_cut(split, s, t, cap)
+        return _min_vertex_cut(adj, s, t, cap, found, prev)
 
     degs = g.degrees()
     listing = _cut_vertex_pieces(g, ())
@@ -497,10 +491,6 @@ class FiveCycleStats:
     per_edge_count: dict[tuple[int, int], int]
     max_edge_disjoint: dict[tuple[int, int], int] | None
     max_path_disjoint: dict[tuple[int, int, int], int] | None
-
-    @property
-    def cycle_count(self) -> int:
-        return len(self.cycles)
 
 
 def _enumerate_five_cycles(g: Graph) -> list[tuple[int, int, int, int, int]]:

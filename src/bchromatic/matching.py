@@ -1,8 +1,8 @@
 """Bipartite perfect matching with Hall-violator certificates.
 
 Every inductive coloring step reduces to a perfect matching between a ring of
-uncolored vertices and the colors still needed there; the half-degree
-sufficient condition checked here is what makes those matchings exist.
+uncolored vertices and the colors still needed there; the seeding's
+half-degree condition (constructive) is what makes those matchings exist.
 """
 
 from __future__ import annotations
@@ -82,33 +82,3 @@ def perfect_matching(h: BipartiteInstance) -> Matching | HallViolator:
             return HallViolator(subset, frozenset(visited))
     return Matching(frozenset((l, r) for r, l in match_right.items()))
 
-
-def meets_half_degree_condition(
-    h: BipartiteInstance, u_star: Hashable, v_star: Hashable
-) -> bool:
-    """Whether every node other than the two special ones has degree at least
-    half the side size, and both special nodes have positive degree.
-
-    A balanced instance passing this check always has a perfect matching.
-    """
-    if len(h.left) != len(h.right):
-        raise ValueError("condition is defined for balanced instances only")
-    if u_star not in set(h.left):
-        raise ValueError(f"u_star {u_star!r} is not a left node")
-    if v_star not in set(h.right):
-        raise ValueError(f"v_star {v_star!r} is not a right node")
-    half = len(h.right)
-    left_deg: dict[Hashable, int] = {l: 0 for l in h.left}
-    right_deg: dict[Hashable, int] = {r: 0 for r in h.right}
-    for l, r in h.edges:
-        left_deg[l] += 1
-        right_deg[r] += 1
-    if left_deg[u_star] == 0 or right_deg[v_star] == 0:
-        return False
-    for l in h.left:
-        if l != u_star and 2 * left_deg[l] < half:
-            return False
-    for r in h.right:
-        if r != v_star and 2 * right_deg[r] < half:
-            return False
-    return True

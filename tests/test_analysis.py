@@ -8,7 +8,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bchromatic import analysis, cli, graph_core as gc
@@ -21,9 +21,7 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-# the cube, labelled so that 0 and 7 are antipodal
-CUBE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
-              (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
+CUBE_EDGES = compare_outputs.CUBE_EDGES
 
 
 def random_graph(data, max_n=10):
@@ -415,38 +413,93 @@ class TestVertexConnectivity:
     def test_flow_count_on_lift(self, monkeypatch, capsys, tmp_path):
         """A cubic lift with kappa = d = 3: disjoint paths settle every
         Esfahanian-Hakimi pair, so no flow runs, in vertex_connectivity or
-        in analyze, and the split graph is never built."""
+        in analyze."""
         g = petersen_lift(30, seed=0)
         flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
-        splits = count_calls(monkeypatch, analysis, "_split_graph")
         assert analysis.vertex_connectivity(g).kappa == 3
         path = tmp_path / "lift.txt"
         path.write_text(gc.serialize_edge_list(g))
         assert cli.main(["analyze", "--input", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa"] == 3
-        assert flows[0] == 0 and splits[0] == 0
+        assert flows[0] == 0
 
     def test_fallback_flow_on_cube(self, monkeypatch):
         """On the cube, labelled so that 0 and 7 are antipodal, three
         disjoint paths join 0 and 7 (through 1-6, 2-5 and 3-4), but the
         greedy search takes 0-1-4-7 and 0-2-5-7 first, which leave 3 no way
-        through. So the flow capped at 3 runs for that pair, reaches its
-        cap, and the certificate stays the reference's."""
+        through. So the flow capped at 3 runs for that pair, goes on from
+        those two paths, reaches its cap with one augmentation, and the
+        certificate stays the reference's."""
         g = gc.Graph.from_edges(8, CUBE_EDGES)
-        assert not analysis._disjoint_paths(g.adjacency, 0, 7, 3)
-        assert analysis._disjoint_paths(g.adjacency, 0, 7, 2)
+        assert analysis._disjoint_paths(g.adjacency, 0, 7, 3) == (2, {1: 0, 4: 1, 2: 0, 5: 2})
+        assert analysis._disjoint_paths(g.adjacency, 0, 7, 2)[0] == 2
         flows = []
         original = analysis._min_vertex_cut
 
         def recorded(*args):
+            entered = args[4]
             result = original(*args)
-            flows.append((args[1:], result[:2]))
+            flows.append((args[1:4], entered, result[:2]))
             return result
 
         monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
         cert = analysis.vertex_connectivity(g)
-        assert flows == [((0, 7, 3), (3, None))]
+        assert flows == [((0, 7, 3), 2, (3, None))]
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_flows_go_on_from_the_greedy_paths(self, monkeypatch):
+        """On c4_free_ring() the greedy search finds 3 of 4 paths for the
+        first Esfahanian-Hakimi pair (0, 25), and its flow reaches 4 from
+        there; for (0, 26) it finds 2, and the flow returns kappa = 2 with
+        its cut."""
+        flows = []
+        original = analysis._min_vertex_cut
+
+        def recorded(*args):
+            entered = args[4]
+            result = original(*args)
+            flows.append((args[1:4], entered, result[:2]))
+            return result
+
+        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        assert analysis.vertex_connectivity(c4_free_ring()).kappa == 2
+        assert flows == [((0, 25, 4), 3, (4, None)), ((0, 26, 4), 2, (2, (1, 56)))]
+
+    def test_flow_walks_back_along_the_paths(self):
+        """Between 0 and 14 the greedy search takes 0-9-10-11-14, which
+        blocks every other path. The augmenting path enters 11 from 6 and
+        walks back over 10 to 9, which it turns to 12, so 10 leaves the
+        paths; the last search passes 10 from 8 and walks back from 11 to
+        2. The cut is the reference's, closest to 0."""
+        g = gc.Graph.from_edges(15, [
+            (0, 1), (0, 2), (0, 9), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 11),
+            (7, 8), (8, 10), (9, 10), (9, 12), (10, 11), (11, 14), (12, 13), (13, 14),
+        ])
+        found, prev = analysis._disjoint_paths(g.adjacency, 0, 14, 3)
+        assert (found, prev) == (1, {9: 0, 10: 9, 11: 10})
+        assert analysis._min_vertex_cut(g.adjacency, 0, 14, 3, found, prev) == (2, (9, 11), [12, 13, 14])
+        assert prev == {2: 0, 4: 2, 6: 4, 11: 6, 9: 0, 12: 9, 13: 12}
+        assert oracles._min_vertex_cut(oracles._split_graph(g), 0, 14, 3) == (2, (9, 11))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flow_from_greedy_paths_matches_reference(self, data):
+        """For a random non-adjacent pair s < t and cap 1 to delta + 1, the
+        flow from the paths of _disjoint_paths gives the reference's flow
+        value and cut, reached from zero on the split graph; beyond holds,
+        apart from s, every vertex outside the cut and the side of s."""
+        g = data.draw(st.sampled_from((random_density_graph, random_ring, hub_graph)))(data)
+        n = g.vertex_count
+        pairs = [(s, t) for s, t in itertools.combinations(range(n), 2) if not g.has_edge(s, t)]
+        assume(pairs)
+        s, t = data.draw(st.sampled_from(pairs))
+        cap = data.draw(st.integers(min_value=1, max_value=min(g.degrees()) + 1))
+        found, prev = analysis._disjoint_paths(g.adjacency, s, t, cap)
+        flow, cut, beyond = analysis._min_vertex_cut(g.adjacency, s, t, cap, found, prev)
+        assert (flow, cut) == oracles._min_vertex_cut(oracles._split_graph(g), s, t, cap)
+        if cut is not None:
+            side = next(c for c in oracles._components(g, frozenset(cut)) if s in c)
+            assert set(beyond) - {s} == set(range(n)) - set(cut) - set(side)
 
     def test_flow_budget(self, monkeypatch, capsys):
         """The cube of test_fallback_flow_on_cube runs one flow, charged its
@@ -515,19 +568,12 @@ class TestVertexConnectivity:
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_sweep_above_two_flows_only_where_a_cut_is(self, monkeypatch):
-        """Three circulants C12(1, 2, 3) in a chain, consecutive ones joined
-        by 3 edges that replace a matching in each: kappa = 3 < delta = 5.
-        Every flow that runs, Esfahanian-Hakimi (cap 5) or sweep (cap
+        """Three circulants C12(1, 2, 3) in a chain
+        (compare_outputs.chain_of_circulants): kappa = 3 < delta = 5. Every
+        flow that runs, Esfahanian-Hakimi (cap 5) or sweep (cap
         kappa + 1 = 4), finds a 3-cut: the greedy paths settle every other
         pair. The certificate stays the reference's."""
-        edges = []
-        for b in (0, 12, 24):
-            drop = {(0, 1), (2, 3), (4, 5)} if b else set()
-            drop |= {(6, 7), (8, 9), (10, 11)} if b < 24 else set()
-            edges += [(b + i, b + (i + o) % 12) for i in range(12) for o in (1, 2, 3)
-                      if tuple(sorted((i, (i + o) % 12))) not in drop]
-            edges += [(b - 12 + x, b + y) for x, y in ((7, 0), (9, 2), (11, 4)) if b]
-        g = gc.Graph.from_edges(36, edges)
+        g = compare_outputs.chain_of_circulants(3)
         flows = []
         original = analysis._min_vertex_cut
 
@@ -616,19 +662,19 @@ class TestVertexConnectivity:
 class TestFiveCycles:
     def test_petersen_counts(self, petersen):
         stats = analysis.five_cycle_stats(petersen)
-        assert stats.cycle_count == 12
+        assert len(stats.cycles) == 12
         assert all(c == 4 for c in stats.per_edge_count.values())
         assert sum(stats.per_edge_count.values()) == 60  # 12 cycles x 5 edges
 
     def test_c5(self):
         stats = analysis.five_cycle_stats(gc.generate_cycle(5))
-        assert stats.cycle_count == 1
+        assert len(stats.cycles) == 1
         assert set(stats.per_edge_count.values()) == {1}
         assert set(stats.max_edge_disjoint.values()) == {1}
 
     def test_heawood_has_none(self, heawood):
         stats = analysis.five_cycle_stats(heawood)
-        assert stats.cycle_count == 0
+        assert len(stats.cycles) == 0
         assert set(stats.per_edge_count.values()) == {0}
 
     def test_ceiling(self):
@@ -641,7 +687,7 @@ class TestFiveCycles:
     def test_count_matches_brute(self, data):
         g = random_graph(data, max_n=9)
         stats = analysis.five_cycle_stats(g)
-        assert stats.cycle_count == oracles.brute_five_cycle_count(g)
+        assert len(stats.cycles) == oracles.brute_five_cycle_count(g)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -686,8 +732,8 @@ class TestFiveCycles:
     def test_disjoint_families_are_valid(self, petersen):
         stats = analysis.five_cycle_stats(petersen)
         # every reported per-edge family bound is at most the total count
-        assert all(v <= stats.cycle_count for v in stats.max_edge_disjoint.values())
-        assert all(v <= stats.cycle_count for v in stats.max_path_disjoint.values())
+        assert all(v <= len(stats.cycles) for v in stats.max_edge_disjoint.values())
+        assert all(v <= len(stats.cycles) for v in stats.max_path_disjoint.values())
 
 
 class TestHypothesisReport:
@@ -734,7 +780,7 @@ class TestHypothesisReport:
         monkeypatch.setattr(analysis, "_PACKING_NODE_BUDGET", 10)
         stats = analysis.five_cycle_stats(petersen)
         assert stats.max_edge_disjoint is None and stats.max_path_disjoint is None
-        assert stats.cycle_count == 12
+        assert len(stats.cycles) == 12
         monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(petersen)))
         assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -8,7 +8,6 @@ from bchromatic.matching import (
     BipartiteInstance,
     HallViolator,
     Matching,
-    meets_half_degree_condition,
     perfect_matching,
 )
 from tests import oracles
@@ -105,29 +104,22 @@ def build_half_degree_instance(rng: random.Random, k: int) -> BipartiteInstance:
 
 
 class TestHalfDegreeCondition:
-    def test_validation(self):
-        h = int_instance(2, {(0, 0), (1, 1)})
-        with pytest.raises(ValueError):
-            meets_half_degree_condition(h, 99, 100)
-        with pytest.raises(ValueError):
-            meets_half_degree_condition(h, 0, 0)  # right id given as a left value
-        unbal = BipartiteInstance((0,), (100, 101), frozenset({(0, 100)}))
-        with pytest.raises(ValueError):
-            meets_half_degree_condition(unbal, 0, 100)
+    """The matching lemma's hypothesis (oracles.meets_half_degree_condition)
+    and the perfect matching it promises."""
 
     def test_special_nodes_need_positive_degree(self):
         h = int_instance(2, {(1, 0), (1, 1)})
-        assert meets_half_degree_condition(h, 0, 100) is False
+        assert oracles.meets_half_degree_condition(h, 0, 100) is False
 
     def test_low_degree_non_special_fails(self):
         h = int_instance(3, {(0, 0), (1, 1), (2, 2)})
-        assert meets_half_degree_condition(h, 0, 100) is False
+        assert oracles.meets_half_degree_condition(h, 0, 100) is False
 
     def test_condition_implies_matching(self):
         rng = random.Random(7)
         for _ in range(300):
             k = rng.randrange(2, 9)
             h = build_half_degree_instance(rng, k)
-            if not meets_half_degree_condition(h, 0, 100):
+            if not oracles.meets_half_degree_condition(h, 0, 100):
                 continue
             assert isinstance(perfect_matching(h), Matching), h
