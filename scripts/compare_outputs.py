@@ -2,23 +2,25 @@
 
 Usage: python3 scripts/compare_outputs.py OTHER_SRC [--count N]
 
-OTHER_SRC is the `src` directory of another checkout, for example the parent
-commit's. Builds a fixed corpus in-process from graph_core: the cycles C5
-and C7 (d = 2, the small case), Petersen, two and three disjoint copies of
-Petersen (kappa = 0, the second with three components), Heawood, cubic
-chains of 2-5 beads, the bridge pair, the cube labelled so that the greedy
-path search falls short (CUBE_EDGES), chains of 3 and 6 circulants
-(kappa = 3 < delta = 5, the only graphs here whose analyze runs the
-kappa + 1 sweep), generalized Petersen graphs, N graphs random:d,n for
-each d = 3-5, N rings of three random C4-free 4-regular blocks, and
-random:3,1000 and random:4,1000 (seed 0). Each graph's edge-list text
-is the stdin of `color` with every strategy (auto included), of `analyze`
-with text and JSON output, and of `exact` (graphs above its 24-vertex
-ceiling exit 2 at once), and its DIMACS text is the stdin of `analyze
---format dimacs --output json`. Each text of EDGE_LIST_TEXTS, one per
-fault the edge-list parser reports and three odd but valid layouts, is the
-stdin of `analyze --output json` and of auto `color`, so that the exit
-code and the message on stderr are compared too.
+OTHER_SRC is the `src` directory of another checkout, for example the
+parent commit's. Builds a fixed corpus in-process from graph_core: the
+cycles C5 and C7 (d = 2, the small case), Petersen, two and three disjoint
+copies of Petersen (kappa = 0, the second with three components), Heawood,
+Petersen beside Heawood (the only graph here whose full seed certifies
+after it rejects centers: a Hall violator rejects each of the ten of
+Petersen, and center 10 certifies), cubic chains of 2-5 beads, the bridge
+pair, the cube labelled so that the greedy path search falls short
+(CUBE_EDGES), chains of 3 and 6 circulants (kappa = 3 < delta = 5, the only
+graphs here whose analyze runs the kappa + 1 sweep), generalized Petersen
+graphs, N graphs random:d,n for each d = 3-5, N rings of three random
+C4-free 4-regular blocks, and random:3,1000 and random:4,1000 (seed 0).
+Each graph's edge-list text is the stdin of `color` with every strategy
+(auto included), of `analyze` with text and JSON output, and of `exact`
+(graphs above its 24-vertex ceiling exit 2 at once), and its DIMACS text is
+the stdin of `analyze --format dimacs --output json`. Each text of
+EDGE_LIST_TEXTS, one per fault the edge-list parser reports and three odd
+but valid layouts, is the stdin of `analyze --output json` and of auto
+`color`, so that the exit code and the message on stderr are compared too.
 `generate --input random:d,n --seed s` runs
 for the same N seeds at each size of RANDOM_SIZES and at random:3,2000.
 
@@ -128,6 +130,7 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     graphs |= {"petersen": petersen, "heawood": gc.generate_heawood()}
     graphs["petersen*2"] = gc.disjoint_union(petersen, petersen)
     graphs["petersen*3"] = gc.disjoint_union(graphs["petersen*2"], petersen)
+    graphs["petersen+heawood"] = gc.disjoint_union(petersen, graphs["heawood"])
     graphs |= {f"chain:{b}": gc.generate_cubic_chain(b) for b in range(2, 6)}
     graphs["bridge-pair"] = gc.generate_cubic_bridge_pair()
     graphs["cube"] = gc.Graph.from_edges(8, CUBE_EDGES)

@@ -1,7 +1,8 @@
 """Constructive b-colorings for C4-free regular graphs.
 
 The package bundles an immutable graph core, structural analysis passes,
-a bipartite matcher with Hall-violator certificates, four constructive
+a bipartite matcher that takes each ring vertex's available colors and
+returns a matching or a Hall-violator certificate, four constructive
 coloring strategies, an exact b-chromatic oracle, and a command line
 front end.
 """

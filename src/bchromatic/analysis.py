@@ -30,6 +30,15 @@ _PACKING_NODE_BUDGET = 50_000
 _BFS_BATCH = 4096
 _BFS_MASK_BYTES = 64 << 20
 
+# mask words one diameter call may charge its bit-parallel rounds, each
+# round (n + 2m) times the 64-bit words of a batch's masks, before it raises
+# CeilingExceeded: over 5,000 times the most that a test graph needs
+# (374,400), and 1,800 times the most that a compare_outputs.py or benchmark
+# graph would (832,000 on random:3,1000; 1,108,800 on a 990-vertex
+# large-lower-bound graph; 7,800 on the 78-vertex graphs that are analyzed).
+# The 10**4-vertex Petersen lift charges 110,480,000
+_BFS_WORD_BUDGET = 2_000_000_000
+
 # split-graph arcs one vertex_connectivity call may charge its capped flows,
 # each flow the whole split graph (2n + 4m arcs), before it raises
 # CeilingExceeded: over 1,600 times the most that a test graph needs (12,000
@@ -174,7 +183,9 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
     eccentricity D begins the smallest witness: a vertex t at distance D
     from s has eccentricity D too, so t > s. One BFS from s then gives the
     smallest such t. A batch holds _BFS_BATCH sources, or fewer where n is
-    so large that its masks would pass _BFS_MASK_BYTES.
+    so large that its masks would pass _BFS_MASK_BYTES. Each round is
+    charged (n + 2m) times the 64-bit words of its masks; past
+    _BFS_WORD_BUDGET it raises CeilingExceeded.
     """
     n = g.vertex_count
     if n <= 1:
@@ -185,7 +196,8 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
         return (math.inf, (0, other))
     adj = g.adjacency
     batch = max(1, min(_BFS_BATCH, 4 * _BFS_MASK_BYTES // n))
-    best, source = 0, 0
+    arcs = n + 2 * g.edge_count
+    best, source, words = 0, 0, 0
     for lo in range(0, n, batch):
         width = min(batch, n - lo)
         full = (1 << width) - 1
@@ -193,7 +205,11 @@ def diameter(g: Graph) -> tuple[int | float, tuple[int, int] | None]:
         for i in range(width):
             reach[lo + i] = 1 << i
         rounds = last = 0
+        charge = arcs * -(-width // 64)
         while True:
+            words += charge
+            if words > _BFS_WORD_BUDGET:
+                raise CeilingExceeded(f"diameter search passed {_BFS_WORD_BUDGET} mask words")
             grown = 0
             spread = reach[:]
             for v, near in enumerate(adj):

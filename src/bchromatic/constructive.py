@@ -1,15 +1,17 @@
 """Constructive b-colorings for d-regular C4-free graphs.
 
-Four strategies share one seeding engine. The engine colors a center vertex
-and its neighborhood so that the center and a prefix of its neighbors become
-color-dominating, walking the second neighborhood ring by ring and placing
-each ring's missing colors through a perfect matching. The full-seed strategy
-makes every neighbor dominating at one center, which reaches all d+1 colors
-wherever some center's rings all have matchings. A color relabeling attached
-to the plan lets two far-apart seedings realize complementary color sets,
-which is how the diameter and small-cut strategies reach all d+1 colors. The
-lower-bound strategy instead extends greedily and squeezes out unrealized
-colors by color exchange.
+Four strategies share one seeding engine, seed_dominating_neighborhood. It
+colors a center vertex and its neighborhood so that the center and a prefix
+of its neighbors become color-dominating, walking the second neighborhood
+ring by ring and placing each ring's missing colors through a perfect
+matching of each ring vertex onto the colors it may take. The full-seed
+strategy makes every neighbor dominating at one center, which reaches all d+1
+colors wherever some center's rings all have matchings; a ring with none
+hands back its Hall violator, which rejects only that center. A color
+relabeling attached to the plan lets two far-apart seedings realize
+complementary color sets, which is how the diameter and small-cut strategies
+reach all d+1 colors. The lower-bound strategy instead extends greedily and
+squeezes out unrealized colors by color exchange.
 
 Each strategy gates the graph (regular, no 4-cycle) once;
 construct_auto_bcoloring gates once and passes the gated graph, which carries
@@ -19,11 +21,12 @@ verification of its final coloring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from bchromatic import analysis
 from bchromatic.graph_core import Graph
-from bchromatic.matching import BipartiteInstance, HallViolator, perfect_matching
+from bchromatic.matching import HallViolator, perfect_matching
 
 
 class HypothesisRejection(Exception):
@@ -304,34 +307,38 @@ class ConstructionTrace:
     reduction_passes: list[ReductionPassRecord] = field(default_factory=list)
 
 
-def _seed_rings(
-    g: Graph,
-    center: int,
-    ordered_neighbors: tuple[int, ...],
-    steps: int,
-    trace: ConstructionTrace | None,
-) -> dict[int, int] | HallViolator:
-    """The canonical seeding every seeding route shares: the center takes
-    d+1, the j-th ordered neighbor j, and for i = 1..steps the ring of the
-    i-th neighbor v_i (its neighbors outside the center's closed
-    neighborhood) is matched onto the colors v_i does not yet see.
+def seed_dominating_neighborhood(
+    g: Graph, plan: SeedPlan, trace: ConstructionTrace | None = None
+) -> PartialColoring | HallViolator:
+    """Color the center, its neighborhood, and the step rings so the center
+    and the first `steps` ordered neighbors all see every color of 1..d+1 on
+    their closed neighborhoods; the one seeding of every route.
 
-    Returns the colors of the seeded vertices, or the Hall violator of the
-    first ring that has no matching. Once every ring has matched, the center
-    and one record per ring go to the trace; without a trace no record is
-    built. The counting guarantees are asserted at runtime. A seeding of at
-    most d // 2 + 1 steps, the most validate_seed_plan accepts, also asserts
-    the half-degree condition, which is what makes its matchings exist; the
-    full seeding does not.
+    Works canonically: the center takes d+1, the j-th ordered neighbor j, and
+    for i = 1..steps the ring of the i-th neighbor v_i (its neighbors outside
+    the center's closed neighborhood) is matched onto the colors v_i does not
+    yet see. Then the plan's color_map relabels the result. Returns the Hall
+    violator of the first ring that has no matching instead. Once every ring
+    has matched, the center and one record per ring go to the trace; without
+    a trace no record is built.
+
+    The counting guarantees are asserted at runtime. A seeding of at most
+    d // 2 + 1 steps, the most validate_seed_plan accepts, also asserts the
+    half-degree condition, which is what makes its matchings exist; the full
+    seeding (steps = d) does not, so a violator can reject its center. The
+    plan of a bounded seeding must have passed validate_seed_plan, as every
+    plan from plan_seed has. The result is not validated here:
+    greedy_extend, which every route calls next, validates its input.
     """
-    d = len(ordered_neighbors)
+    d = len(plan.ordered_neighbors)
+    center = plan.center
     nv = g.neighbor_sets[center]
     colors = {center: d + 1}
-    for idx, u in enumerate(ordered_neighbors):
+    for idx, u in enumerate(plan.ordered_neighbors):
         colors[u] = idx + 1
     records = []
-    for i in range(1, steps + 1):
-        vi = ordered_neighbors[i - 1]
+    for i in range(1, plan.steps + 1):
+        vi = plan.ordered_neighbors[i - 1]
         inside = sorted(g.neighbor_sets[vi] & nv)
         if len(inside) > 1:
             raise ConstructionInvariantError(
@@ -350,61 +357,28 @@ def _seed_rings(
             raise ConstructionInvariantError(
                 f"step {i}: ring overlaps an earlier ring; rings must be disjoint"
             )
-        edges = set()
-        degree_left = {x: 0 for x in ring}
-        degree_right = {c: 0 for c in needed}
+        options: dict[int, list[int]] = {}
         for x in ring:
             present = {colors.get(y) for y in g.adjacency[x]}
-            for c in needed:
-                if c not in present:
-                    edges.add((x, c))
-                    degree_left[x] += 1
-                    degree_right[c] += 1
-        if ring and steps <= d // 2 + 1:
-            worst = min(min(degree_left.values()), min(degree_right.values()))
+            options[x] = [c for c in needed if c not in present]
+        if ring and plan.steps <= d // 2 + 1:
+            takers = Counter(c for available in options.values() for c in available)
+            worst = min(min(map(len, options.values())), min(takers[c] for c in needed))
             if 2 * worst < len(ring):
                 raise ConstructionInvariantError(
                     f"step {i}: availability degree {worst} below half of {len(ring)}; "
                     "the counting guarantee failed"
                 )
-        outcome = perfect_matching(
-            BipartiteInstance(tuple(ring), tuple(needed), frozenset(edges))
-        )
-        if isinstance(outcome, HallViolator):
-            return outcome
-        colors.update(outcome.pairs)
+        matched = perfect_matching(options)
+        if isinstance(matched, HallViolator):
+            return matched
+        colors.update(matched)
         if trace is not None:
-            placed = tuple(sorted(outcome.pairs))
+            placed = tuple(sorted(matched.items()))
             records.append(SeedStepRecord(center, i, vi, tuple(ring), tuple(needed), placed))
     if trace is not None:
         trace.centers.append(center)
         trace.seed_steps.extend(records)
-    return colors
-
-
-def seed_dominating_neighborhood(
-    g: Graph, plan: SeedPlan, trace: ConstructionTrace | None = None
-) -> PartialColoring:
-    """Color the center, its neighborhood, and the step rings so the center
-    and the first `steps` ordered neighbors all see every color of 1..d+1 on
-    their closed neighborhoods.
-
-    The plan must have passed validate_seed_plan, as every plan from
-    plan_seed has. Works canonically (center d+1, j-th neighbor j; see
-    _seed_rings) and applies the plan's color_map at the end. Every counting
-    guarantee the inductive argument rests on is asserted at runtime; a
-    failed ring matching raises ConstructionInvariantError naming the sizes
-    of its Hall violator. The result is not validated here: greedy_extend,
-    which every route calls next, validates its input.
-    """
-    d = len(plan.ordered_neighbors)
-    center = plan.center
-    colors = _seed_rings(g, center, plan.ordered_neighbors, plan.steps, trace)
-    if isinstance(colors, HallViolator):
-        raise ConstructionInvariantError(
-            f"a ring has no perfect color matching: its Hall violator of size "
-            f"{len(colors.left_subset)} can take {len(colors.neighborhood)} colors"
-        )
 
     full = set(range(1, d + 2))
     for w in (center, *plan.ordered_neighbors[: plan.steps]):
@@ -419,6 +393,17 @@ def seed_dominating_neighborhood(
     for v, c in colors.items():
         mapped[v] = plan.color_map[c - 1]
     return PartialColoring(d + 1, tuple(mapped))
+
+
+def _bounded_seed(g: Graph, plan: SeedPlan, trace: ConstructionTrace | None) -> PartialColoring:
+    # a seeding whose half-degree condition promises every ring a matching
+    partial = seed_dominating_neighborhood(g, plan, trace)
+    if isinstance(partial, HallViolator):
+        raise ConstructionInvariantError(
+            f"a ring has no perfect color matching: its Hall violator of size "
+            f"{len(partial.left_subset)} can take {len(partial.neighborhood)} colors"
+        )
+    return partial
 
 
 def realized_targets(plan: SeedPlan, d: int) -> tuple[int, ...]:
@@ -520,7 +505,6 @@ class ConstructionOutcome:
     strategy: str
     guaranteed_colors: int
     plans: tuple[SeedPlan, ...]
-    triangle_mode: bool
     report: VerificationReport
 
 
@@ -563,7 +547,6 @@ def _certify(
     promised: int,
     coloring: Coloring,
     plans: tuple[SeedPlan, ...] = (),
-    triangle_mode: bool = False,
     report: VerificationReport | None = None,
 ) -> ConstructionOutcome:
     """The one final check of every route: coloring must be a b-coloring
@@ -580,7 +563,7 @@ def _certify(
             f"{strategy} construction did not reach a b-coloring with {promised} "
             f"colors: used {list(report.used_colors)}, dominating {report.realized}"
         )
-    return ConstructionOutcome(coloring, strategy, promised, plans, triangle_mode, report)
+    return ConstructionOutcome(coloring, strategy, promised, plans, report)
 
 
 def _small_case(g: Graph, d: int) -> ConstructionOutcome:
@@ -635,7 +618,7 @@ def construct_lower_bound_bcoloring(
         )
         t = (d + 1) // 2
     plan = plan_seed(g, center, t, triangle_mode)
-    partial = seed_dominating_neighborhood(g, plan, trace=trace)
+    partial = _bounded_seed(g, plan, trace)
     total = greedy_extend(g, partial, sources=(center,))
     reduced, report = reduce_unrealized(g, total, trace=trace)
     kept = realized_targets(plan, d)
@@ -644,7 +627,7 @@ def construct_lower_bound_bcoloring(
             f"reduction lost a seeded color: kept {kept}, report {report.realized}"
         )
     promised = (d + 4) // 2 if tri else (d + 3) // 2
-    return _certify(g, "lower-bound", promised, reduced, (plan,), triangle_mode, report)
+    return _certify(g, "lower-bound", promised, reduced, (plan,), report)
 
 
 def _two_center_finish(
@@ -657,8 +640,8 @@ def _two_center_finish(
     # the two seedings must be apart: no vertex of the second lies in the
     # first or next to it, so the merged coloring is proper and neither
     # seeding's dominating vertices lose a color
-    first = seed_dominating_neighborhood(g, plans[0], trace=trace)
-    second = seed_dominating_neighborhood(g, plans[1], trace=trace)
+    first = _bounded_seed(g, plans[0], trace)
+    second = _bounded_seed(g, plans[1], trace)
     merged = list(first.assignment)
     for v, c in enumerate(second.assignment):
         if c is None:
@@ -775,10 +758,10 @@ def _full_seed_at(
 ) -> ConstructionOutcome | HallViolator:
     # the full seeding at one center, extended and verified, or the Hall
     # violator of the ring that rejects this center
-    colors = _seed_rings(g, center, g.adjacency[center], d, trace)
-    if isinstance(colors, HallViolator):
-        return colors
-    partial = PartialColoring(d + 1, tuple(map(colors.get, range(g.vertex_count))))
+    plan = SeedPlan(center, g.adjacency[center], d, identity_color_map(d))
+    partial = seed_dominating_neighborhood(g, plan, trace)
+    if isinstance(partial, HallViolator):
+        return partial
     return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)))
 
 

@@ -2,8 +2,8 @@
 
 Everything here trades efficiency for obviousness so the fast library code
 can be checked against it on small inputs. Nothing in this module imports
-from the library's algorithm internals beyond the Graph container, the
-ParseError it reports and the BipartiteInstance container.
+from the library's algorithm internals beyond the Graph container and the
+ParseError it reports.
 """
 
 from __future__ import annotations
@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from typing import Hashable
+from typing import Hashable, Iterable
 
 from bchromatic.graph_core import PARSE_VERTEX_CEILING, Graph, ParseError
-from bchromatic.matching import BipartiteInstance
 
 
 def reference_parse_edge_list(text: str) -> Graph:
@@ -381,18 +380,20 @@ def brute_matching_exists(left_count: int, right_count: int,
 
 
 def meets_half_degree_condition(
-    h: BipartiteInstance, u_star: Hashable, v_star: Hashable
+    options: dict[Hashable, list[Hashable]], right: Iterable[Hashable],
+    u_star: Hashable, v_star: Hashable,
 ) -> bool:
-    """Whether, in the balanced instance h, every node other than the left
+    """Whether, in the balanced instance whose left nodes are the keys of
+    options and whose right side is `right`, every node other than the left
     u_star and the right v_star has degree at least half the side size, and
     both special nodes have positive degree: the matching lemma's
-    hypothesis, under which h always has a perfect matching."""
-    half = len(h.right)
-    left_deg = dict.fromkeys(h.left, 0)
-    right_deg = dict.fromkeys(h.right, 0)
-    for l, r in h.edges:
-        left_deg[l] += 1
-        right_deg[r] += 1
+    hypothesis, under which the instance always has a perfect matching."""
+    left_deg = {l: len(rs) for l, rs in options.items()}
+    right_deg = dict.fromkeys(right, 0)
+    half = len(right_deg)
+    for rs in options.values():
+        for r in rs:
+            right_deg[r] += 1
     if left_deg[u_star] == 0 or right_deg[v_star] == 0:
         return False
     return all(

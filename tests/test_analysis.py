@@ -319,6 +319,20 @@ class TestDiameterAndComponents:
         assert results[0] == results[1] == oracles.bfs_diameter(g)
         assert peaks[1] < bound < peaks[0]
 
+    def test_word_budget(self, monkeypatch, capsys, petersen):
+        """Petersen takes one batch of one word and three rounds, the last
+        of which spreads nothing, each charged n + 2m = 40 words: a budget of
+        120 lets it run, 119 raises CeilingExceeded, and analyze then exits
+        2 with the message on stderr."""
+        monkeypatch.setattr(analysis, "_BFS_WORD_BUDGET", 120)
+        assert analysis.diameter(petersen) == (2, (0, 2))
+        monkeypatch.setattr(analysis, "_BFS_WORD_BUDGET", 119)
+        monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(petersen)))
+        assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bchromatic: diameter search passed 119 mask words\n"
+
     def test_components(self):
         g = gc.Graph.from_edges(5, [(1, 3), (0, 4)])
         assert analysis.connected_components(g) == ((0, 4), (1, 3), (2,))

@@ -162,6 +162,24 @@ class TestSeeding:
         with pytest.raises((con.ConstructionInvariantError, ValueError)):
             con.seed_dominating_neighborhood(g, plan)
 
+    @pytest.mark.parametrize("n,edges,steps,message", [
+        # K4: the first step neighbor 1 sees both 2 and 3 inside N(0)
+        (4, list(itertools.combinations(range(4), 2)), 1, "slipped past the gate"),
+        # neighbor 1 has degree 4: a ring of 3 against 2 needed colors, the
+        # check that keeps every matching balanced
+        (7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)], 1,
+         "ring size 3 and needed colors 2 disagree with degree counting"),
+        # 0-1-5-2 is a 4-cycle: the first ring {4, 5} matches, and the second
+        # ring {5, 6} meets its vertex 5
+        (9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7), (3, 8)], 2,
+         "step 2: ring overlaps an earlier ring"),
+    ], ids=["two-inside", "ring-size", "overlap"])
+    def test_ring_checks_on_ungated_graphs(self, n, edges, steps, message):
+        g = gc.Graph.from_edges(n, edges)
+        plan = con.SeedPlan(0, g.adjacency[0], steps, con.identity_color_map(3))
+        with pytest.raises(con.ConstructionInvariantError, match=message):
+            con.seed_dominating_neighborhood(g, plan)
+
     def test_half_degree_assertion_only_in_bounded_seedings(self):
         # 4-regular, with 4-cycles away from vertex 0 only: both rings of a
         # 2-step seeding at 0 have matchings, but one availability degree is
@@ -287,7 +305,7 @@ class TestLowerBoundStrategy:
         assert analysis.find_triangle(g) is not None
         trace = con.ConstructionTrace()
         out = con.construct_lower_bound_bcoloring(g, trace=trace)
-        assert out.triangle_mode and out.guaranteed_colors == 4
+        assert out.plans[0].triangle_mode and out.guaranteed_colors == 4
         assert len(trace.seed_steps) == 3
         assert_outcome_ok(g, out, min_colors=4)
 
@@ -568,8 +586,8 @@ class TestCertification:
 
 
 class TestTrace:
-    """_seed_rings writes the seeding's part of the trace, once every ring
-    has matched, and builds no record without a trace."""
+    """seed_dominating_neighborhood writes the seeding's part of the trace,
+    once every ring has matched, and builds no record without a trace."""
 
     @pytest.mark.parametrize("route,beads", [
         (con.construct_diameter_bcoloring, 4),
@@ -598,7 +616,7 @@ class TestTrace:
         con.construct_auto_bcoloring(gc.generate_cubic_chain(3))
         con.construct_lower_bound_bcoloring(petersen)
         assert built == []
-        # the stand-in is the one _seed_rings builds: two steps at the center
+        # the stand-in is the one the seeding builds: two steps at the center
         con.construct_lower_bound_bcoloring(petersen, trace=con.ConstructionTrace())
         assert len(built) == 2
 

@@ -52,3 +52,19 @@ def test_lower_bound_color_records_one_reduction_span(tmp_path, capsys):
     [route] = ids["constructive.construct_lower_bound_bcoloring"]
     assert parents[reduction] == route
     assert '"strategy": "lower-bound"' in capsys.readouterr().out
+
+
+def test_auto_color_records_one_seeding_span(tmp_path, capsys):
+    """Auto color on Heawood certifies by the full seed at center 0, and that
+    seeding runs through seed_dominating_neighborhood, as every route's does."""
+    path = tmp_path / "heawood.txt"
+    path.write_text(gc.serialize_edge_list(gc.generate_heawood()))
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["color", "--input", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    names = [name for _, _, _, name, *_ in tracer.spans]
+    assert names.count("constructive.seed_dominating_neighborhood") == 1
+    assert '"strategy": "full-seed"' in capsys.readouterr().out
