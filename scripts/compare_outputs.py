@@ -32,8 +32,12 @@ reverse order, in the same interpreter, so that state one call leaves
 behind (a cache, a module global) shows up as a case whose second run
 differs from its first. A case differs when the exit code, stdout or stderr
 differ between the trees, and is not repeatable when they differ between
-the two runs in one tree. Prints each such case and their numbers, and
-exits 1 if there is any.
+the two runs in one tree. The `generate` cases are counted on a line of
+their own: their bytes change whenever the generator's search does, so each
+of this tree's outputs is checked instead to be a C4-free d-regular graph on
+the n vertices of its spec, and one that is not is invalid. Prints each
+case that is not repeatable, invalid or, outside `generate`, differs, and
+their numbers, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import sys
 from pathlib import Path
 
 from bchromatic import graph_core as gc
+from bchromatic.analysis import find_four_cycle, is_regular
 from bchromatic.cli import STRATEGIES
 
 OWN_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -173,6 +178,18 @@ json.dump([first, again], sys.stdout)
 """
 
 
+def valid_generated(argv: list[str], result: list) -> bool:
+    """Whether a `generate --input random:d,n` run exited 0 with a C4-free
+    d-regular graph on n vertices."""
+    d, n = map(int, argv[argv.index("--input") + 1].removeprefix("random:").split(","))
+    code, out, _ = result
+    try:
+        g = gc.parse_edge_list(out)
+    except gc.ParseError:
+        return False
+    return code == 0 and g.vertex_count == n and is_regular(g) == d and find_four_cycle(g) is None
+
+
 def run_all(src: Path, cases: list[tuple[list[str], str]]) -> tuple[list[list], list[list]]:
     """[exit code, stdout, stderr] of each (argv, stdin text) case, run in one
     child interpreter on the tree whose `src` directory is given: the first
@@ -227,13 +244,21 @@ def main() -> int:
             if a != b:
                 unrepeatable += 1
                 print(f"not repeatable in {tree}: {name}: {' '.join(argv)}")
-    flags = [a != b for a, b in zip(ours, theirs)]
-    for (name, argv, _), bad in zip(cases, flags):
-        if bad:
+    generated = differ = generated_differ = invalid = 0
+    for (name, argv, _), a, b in zip(cases, ours, theirs):
+        if argv[0] == "generate":
+            generated += 1
+            generated_differ += a != b
+            if not valid_generated(argv, a):
+                invalid += 1
+                print(f"invalid: {name}: {' '.join(argv)}")
+        elif a != b:
+            differ += 1
             print(f"differs: {name}: {' '.join(argv)}")
+    print(f"generate: {generated} cases, {generated_differ} differ, {invalid} invalid")
     print(f"{unrepeatable} not repeatable")
-    print(f"{len(cases)} cases, {sum(flags)} differ")
-    return 1 if any(flags) or unrepeatable else 0
+    print(f"{len(cases) - generated} other cases, {differ} differ")
+    return 1 if differ or invalid or unrepeatable else 0
 
 
 if __name__ == "__main__":

@@ -337,21 +337,9 @@ def generate_cubic_chain(beads: int) -> Graph:
 # restarts of the swap search before it raises GenerationError
 GENERATION_RESTARTS = 12
 
-# random:d,n refuses n above this: a restart makes 6·n·d shuffle switches and
-# up to 5000 + 250·n·d descent attempts, so run time grows past use beyond it
+# random:d,n refuses n above this: a restart pairs n·d stubs and spends up to
+# 5000 + 250·n·d switch proposals, so run time grows past use beyond it
 RANDOM_VERTEX_CEILING = 10_000
-
-
-def _circulant_adjacency(n: int, d: int) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    offsets = list(range(1, d // 2 + 1))
-    for i in range(n):
-        for k in offsets:
-            adj[i].add((i + k) % n)
-            adj[i].add((i - k) % n)
-        if d % 2:
-            adj[i].add((i + n // 2) % n)
-    return adj
 
 
 def _common_counts(adj: list[set[int]]) -> dict[int, int]:
@@ -380,12 +368,11 @@ def _below(bits, n: int) -> int:
 
 class _SwapState:
     """Mutable graph under degree-preserving edge switches. `switch` touches
-    only the adjacency sets and the two edge-list slots it is given, so the
-    score-blind shuffle pays for nothing else. `count` then builds, once, the
-    edge index (slot of each edge), the sparse counts of `_common_counts`, the
-    score Σ C(c, 2) over them (zero iff C4-free) and the pairs with c ≥ 2;
-    `try_swap` scores each proposal from the counts and updates them and the
-    index only when it accepts."""
+    only the adjacency sets and the two edge-list slots it is given. `count`
+    builds, once, the edge index (slot of each edge), the sparse counts of
+    `_common_counts`, the score Σ C(c, 2) over them (zero iff C4-free) and the
+    pairs with c ≥ 2; `try_swap` scores each proposal from the counts and
+    updates them and the index only when it accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
@@ -489,31 +476,47 @@ class _SwapState:
         return True
 
 
-def _randomize(state: _SwapState, rng: random.Random, swaps: int) -> None:
-    """Score-blind degree-preserving shuffle: `swaps` times, draw two edge-list
-    slots and a coin that reverses the second edge, and switch when legal. The
-    draws are the ones `rng.randrange(m)` twice and `rng.random()` made, with
-    `_below` written out for the fixed m. Keeps no edge index; `count` builds it."""
-    edges, adj = state.edge_list, state.adj
-    switch = state.switch
+def _paired_start(n: int, d: int, rng: random.Random,
+                  attempts: int) -> tuple[_SwapState, int] | None:
+    """Random simple d-regular start from the pairing model: shuffle the n·d
+    stubs (each vertex d times) and pair them in order. Each loop or repeated
+    pair (a, b) is left out, then replaced with a uniform edge (c, e),
+    oriented by a coin, by (a, c) and (b, e) once `legal` allows it (for a
+    loop, c, e ∉ N(a)). Each proposal spends one of `attempts`. Returns the
+    state and the attempts left, or None when they run out or no edge is
+    simple."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    rng.shuffle(stubs)
+    adj: list[set[int]] = [set() for _ in range(n)]
+    defects = []
+    for a, b in zip(stubs[::2], stubs[1::2]):
+        if a == b or b in adj[a]:
+            defects.append((a, b))
+        else:
+            adj[a].add(b)
+            adj[b].add(a)
+    state = _SwapState(adj)
+    edges, legal = state.edge_list, state.legal
     bits, coin = rng.getrandbits, rng.random
-    m = len(edges)
-    k = m.bit_length()
-    for _ in range(swaps):
-        i = bits(k)
-        while i >= m:
-            i = bits(k)
-        j = bits(k)
-        while j >= m:
-            j = bits(k)
-        a, b = edges[i]
-        c, d = edges[j]
-        if coin() >= 0.5:
-            c, d = d, c
-        # state.legal, written out: calling it costs a third of the shuffle
-        if (a != c and a != d and b != c and b != d
-                and c not in adj[a] and d not in adj[b]):
-            switch(a, b, c, d, i, j)
+    for a, b in defects:
+        while True:
+            if not attempts or not edges:
+                return None
+            attempts -= 1
+            j = _below(bits, len(edges))
+            c, e = edges[j]
+            if coin() < 0.5:
+                c, e = e, c
+            if legal(a, b, c, e):
+                break
+        adj[c].remove(e)
+        adj[e].remove(c)
+        for x, y in ((a, c), (b, e)):
+            adj[x].add(y)
+            adj[y].add(x)
+        edges[j] = (a, c) if a < c else (c, a)
+        edges.append((b, e) if b < e else (e, b))
+    return state, attempts
 
 
 def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
@@ -545,13 +548,15 @@ def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
 def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     """Deterministic seeded search for a C4-free d-regular graph on n vertices.
 
-    Shuffles a circulant with 6·n·d score-blind degree-preserving edge
-    switches, counts common neighbours once in O(n·d²) memory and time, then
-    walks the switch neighbourhood downhill on the 4-cycle score, scoring
-    each proposal before applying it, until no 4-cycle remains; a recount
-    from scratch checks the result (AssertionError, a broken invariant, when
-    it fails). Restarts a bounded number of times and raises GenerationError
-    when the budget runs out. Infeasible parameters (odd n*d, or n below the
+    Starts from a random stub pairing whose loops and repeated edges are
+    switched away (`_paired_start`), counts common neighbours once in
+    O(n·d²) memory and time, then walks the switch neighbourhood downhill on
+    the 4-cycle score, scoring each proposal before applying it, until no
+    4-cycle remains; a recount from scratch checks the result
+    (AssertionError, a broken invariant, when it fails). The repair and the
+    descent share one budget of switch proposals per restart. Restarts a
+    bounded number of times and raises GenerationError when the budget runs
+    out. Infeasible parameters (odd n*d, or n below the
     counting floor d*d - d + 1 for d >= 2) are rejected up front, and for
     d >= 3 so is n above RANDOM_VERTEX_CEILING (CeilingExceeded).
     """
@@ -584,10 +589,12 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     rng = random.Random(seed)
     attempts = 5000 + 250 * n * d
     for _ in range(GENERATION_RESTARTS):
-        state = _SwapState(_circulant_adjacency(n, d))
-        _randomize(state, rng, swaps=6 * n * d)
+        start = _paired_start(n, d, rng, attempts)
+        if start is None:
+            continue
+        state, left = start
         state.count()
-        if _descend(state, rng, attempts):
+        if _descend(state, rng, left):
             g = Graph(state.n, tuple(tuple(sorted(ns)) for ns in state.adj))
             try:
                 validate_graph(g)

@@ -109,10 +109,14 @@ def random_ring(data) -> gc.Graph:
 
 
 def c4_free_ring() -> gc.Graph:
-    """A ring of three C4-free 4-regular blocks on 26 vertices each: kappa = 2."""
-    return compare_outputs.ring_of_blocks(
-        [gc.generate_random_c4_free_regular(4, 26, s) for s in range(3)]
-    )
+    """A ring of three copies of the line graph of Petersen, which is C4-free
+    and 4-regular on 15 vertices (a 4-cycle of it would need a 4-cycle or a
+    triangle in Petersen): kappa = 2."""
+    edges = list(gc.generate_petersen().edges())
+    block = gc.Graph.from_edges(15, [
+        (i, j) for i, j in itertools.combinations(range(15), 2) if set(edges[i]) & set(edges[j])
+    ])
+    return compare_outputs.ring_of_blocks([block] * 3)
 
 
 def petersen_lift(copies: int, seed: int) -> gc.Graph:
@@ -463,9 +467,9 @@ class TestVertexConnectivity:
 
     def test_flows_go_on_from_the_greedy_paths(self, monkeypatch):
         """On c4_free_ring() the greedy search finds 3 of 4 paths for the
-        first Esfahanian-Hakimi pair (0, 25), and its flow reaches 4 from
-        there; for (0, 26) it finds 2, and the flow returns kappa = 2 with
-        its cut."""
+        Esfahanian-Hakimi pairs (0, 7), (0, 9) and (0, 13), in the first
+        block, and each flow reaches 4 from there; for (0, 15), in the next
+        block, it finds 2, and the flow returns kappa = 2 with its cut."""
         flows = []
         original = analysis._min_vertex_cut
 
@@ -477,7 +481,8 @@ class TestVertexConnectivity:
 
         monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
         assert analysis.vertex_connectivity(c4_free_ring()).kappa == 2
-        assert flows == [((0, 25, 4), 3, (4, None)), ((0, 26, 4), 2, (2, (1, 56)))]
+        assert flows == [((0, 7, 4), 3, (4, None)), ((0, 9, 4), 3, (4, None)),
+                         ((0, 13, 4), 3, (4, None)), ((0, 15, 4), 2, (2, (1, 31)))]
 
     def test_flow_walks_back_along_the_paths(self):
         """Between 0 and 14 the greedy search takes 0-9-10-11-14, which
@@ -720,7 +725,7 @@ class TestFiveCycles:
         assert stats.max_path_disjoint == by_path
 
     @pytest.mark.parametrize("name, total", [
-        ("petersen", 105), ("heawood", 63), ("random:4,20/0", 262),
+        ("petersen", 105), ("heawood", 63), ("random:4,20/0", 228),
     ])
     def test_packing_budget_boundary(self, monkeypatch, name, total):
         """total is the packing search's node count: the smallest

@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bchromatic import graph_core as gc
@@ -250,11 +250,11 @@ class TestRandomRegularC4Free:
 # A change that keeps every draw and accept decision keeps these; a change
 # to the search that alters the output for a seed updates them and says so.
 GENERATED_SHA256 = {
-    (3, 20, 7): "d4f45b839a3e0ffeb5cc6015f3f9bffeae1d8233d2a62a1774e6b73bc933a74e",
-    (4, 20, 0): "84fa646ee75b58f14da9ece8cef668877427f98751579a3215dc03f4b9598298",
-    (5, 32, 1): "5d12028daec3c58d706dc2463f411caf255508924e32f6fe749eec76fe3243fc",
-    (6, 64, 2): "12b9157d630a9654d7dfa0b4b4786d04503e243cc8dcd49fb528d4c424b85a90",
-    (3, 2000, 0): "bef838a3906379c1fb1946e53369a20d269cc530b9e423650dcea4705d6e3305",
+    (3, 20, 7): "fc797621fd1564ea0278f1b1ff087ed899051e8d833b07e863b761c20fee6c56",
+    (4, 20, 0): "e2159904320496a78d03a88a17d9270974543fde988bc3d391f29eb1171c3bee",
+    (5, 32, 1): "77345a45e3afee1e4638e7d595f00bd4f85cc5b8c32ac249974914d642242fd2",
+    (6, 64, 2): "16809d19ebf9d6ad9c19feea68fd7356c7873aff8b8caf9063ee5337d7018cff",
+    (3, 2000, 0): "5c35f6f70da27882bb1f6abf437e0aba7a643f900abb0d8fd0f2e6070ff8b2b1",
 }
 
 
@@ -320,11 +320,12 @@ def _snapshot(state: gc._SwapState):
 def test_swap_scoring_matches_a_recount(data):
     d = data.draw(st.integers(3, 5), label="d")
     n = data.draw(st.integers(d + 2, 12).filter(lambda n: n * d % 2 == 0), label="n")
-    # shuffled circulants: small and dense, so triangles, 4-cycles and
-    # switches whose four edges interact are all common
-    state = gc._SwapState(gc._circulant_adjacency(n, d))
+    # paired starts below the counting floor: small and dense, so triangles,
+    # 4-cycles and switches whose four edges interact are all common
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    gc._randomize(state, rng, swaps=data.draw(st.integers(0, 4 * n), label="shuffle"))
+    start = gc._paired_start(n, d, rng, 5000)
+    assume(start is not None)
+    state = start[0]
     assert all(len(ns) == d for ns in state.adj)
     state.count()
     assert state.counts == _pair_counts(state.adj)
@@ -370,6 +371,45 @@ def test_swap_scoring_matches_a_recount(data):
         (u, v) for u in range(n) for v in switched[u] if u < v
     )
     assert all(state.edge_list[i] == e for e, i in state.edge_index.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_paired_start_is_simple_and_regular(data):
+    """Down to the counting floor, and with budgets from none to plenty, a
+    paired start is a simple d-regular graph whose edge list holds each edge
+    once, or None once the repair has spent every attempt."""
+    d = data.draw(st.integers(3, 6), label="d")
+    floor = d * d - d + 1
+    n = data.draw(st.integers(floor, 3 * floor).filter(lambda n: n * d % 2 == 0), label="n")
+    attempts = data.draw(st.integers(0, 200), label="attempts")
+    start = gc._paired_start(n, d, random.Random(data.draw(st.integers(0, 2**32))), attempts)
+    if start is None:
+        return
+    state, left = start
+    assert 0 <= left <= attempts
+    assert all(len(ns) == d and v not in ns for v, ns in enumerate(state.adj))
+    assert all(u in state.adj[v] for u in range(n) for v in state.adj[u])
+    assert sorted(state.edge_list) == [(u, v) for u in range(n) for v in sorted(state.adj[u]) if u < v]
+
+
+class _NoShuffle(random.Random):
+    def shuffle(self, x):
+        pass
+
+
+@pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
+def test_paired_start_without_a_legal_switch_fails(n, d):
+    """Stubs left in order: for (4, 3) the loops at 0 and 1 leave every edge
+    on vertex 0, so no switch repairs the loop at 2; for (5, 4) every pair is
+    a loop and no edge is simple. Both end as a failed restart."""
+    assert gc._paired_start(n, d, _NoShuffle(0), 10_000) is None
+
+
+def test_failed_starts_end_in_a_generation_error(monkeypatch):
+    monkeypatch.setattr(gc, "_paired_start", lambda n, d, rng, attempts: None)
+    with pytest.raises(gc.GenerationError, match="within 12 restarts"):
+        gc.generate_random_c4_free_regular(3, 20, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from bchromatic import constructive as con, graph_core as gc
+from tests.test_analysis import compare_outputs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,6 +54,20 @@ def test_compare_outputs_flags_a_tree_that_keeps_state(tmp_path):
     cases = int(lines[-1].split()[0])
     assert lines[-2] == f"{cases} not repeatable"
     assert sum(line.startswith("not repeatable in other tree: ") for line in lines) == cases
+
+
+def test_compare_outputs_checks_generated_graphs():
+    """A `generate` output is valid when it exits 0 with a C4-free d-regular
+    graph on the n vertices of its spec."""
+    petersen = gc.serialize_edge_list(gc.generate_petersen())
+    cube = gc.serialize_edge_list(gc.Graph.from_edges(8, compare_outputs.CUBE_EDGES))
+    argv = ["generate", "--input", "random:3,10", "--seed", "0"]
+    assert compare_outputs.valid_generated(argv, [0, petersen, ""])
+    assert not compare_outputs.valid_generated(argv, [2, petersen, ""])
+    assert not compare_outputs.valid_generated(argv, [0, "not a graph", ""])
+    assert not compare_outputs.valid_generated(["generate", "--input", "random:3,8"], [0, cube, ""])
+    assert not compare_outputs.valid_generated(["generate", "--input", "random:4,10"], [0, petersen, ""])
+    assert not compare_outputs.valid_generated(["generate", "--input", "random:3,12"], [0, petersen, ""])
 
 
 def test_count_lines_skips_docstrings_comments_and_blanks(tmp_path):
