@@ -8,8 +8,10 @@ count and the same edge set.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -177,8 +179,10 @@ def parse_edge_list(text: str) -> Graph:
 def serialize_edge_list(g: Graph) -> str:
     """Inverse of parse_edge_list. Edges come out sorted, one per line."""
     out = [f"{g.vertex_count} {g.edge_count}\n"]
-    for u, v in g.edges():
-        out.append(f"{u} {v}\n")
+    for u, ns in enumerate(g.adjacency):
+        for v in ns:
+            if u < v:
+                out.append(f"{u} {v}\n")
     return "".join(out)
 
 
@@ -342,17 +346,21 @@ GENERATION_RESTARTS = 12
 RANDOM_VERTEX_CEILING = 10_000
 
 
+def _pair_keys(adjacency) -> Iterator[int]:
+    """The key u * n + v (u < v) of the end pair of each 2-path u-w-v, centre w
+    by centre w, from `combinations(adjacency[w], 2)`; each neighbour list must
+    be sorted. A pair's key comes once per common neighbour, so the keys are
+    distinct iff the graph has no 4-cycle. O(n·d²)."""
+    n = len(adjacency)
+    for ns in adjacency:
+        for u, v in combinations(ns, 2):
+            yield u * n + v
+
+
 def _common_counts(adj: list[set[int]]) -> dict[int, int]:
-    """Common-neighbour count of each pair that has one, keyed u * n + v (u < v); O(n·d²)."""
-    n = len(adj)
-    counts: dict[int, int] = {}
-    for ns in adj:
-        ns = sorted(ns)
-        for i, u in enumerate(ns):
-            for v in ns[i + 1:]:
-                key = u * n + v
-                counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Common-neighbour count of each pair that has one, keyed u * n + v (u < v),
+    counted over `_pair_keys` and in the order of its first keys."""
+    return Counter(_pair_keys([sorted(ns) for ns in adj]))
 
 
 def _below(bits, n: int) -> int:
@@ -366,13 +374,23 @@ def _below(bits, n: int) -> int:
     return r
 
 
+def _shuffle(bits, x: list) -> None:
+    """`rng.shuffle(x)`, given `bits = rng.getrandbits`: the same order and
+    generator state, swapping each slot from the last down with one drawn by
+    `_below`, as `Random.shuffle` does through `_randbelow_with_getrandbits`."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _below(bits, i + 1)
+        x[i], x[j] = x[j], x[i]
+
+
 class _SwapState:
     """Mutable graph under degree-preserving edge switches. `switch` touches
     only the adjacency sets and the two edge-list slots it is given. `count`
     builds, once, the edge index (slot of each edge), the sparse counts of
-    `_common_counts`, the score Σ C(c, 2) over them (zero iff C4-free) and the
-    pairs with c ≥ 2; `try_swap` scores each proposal from the counts and
-    updates them and the index only when it accepts."""
+    `_common_counts`, the pairs with c ≥ 2 and the score Σ C(c, 2) over them
+    (a pair with c = 1 adds 0; zero iff C4-free); `try_swap` scores each
+    proposal from the counts and updates them and the index only when it
+    accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
@@ -386,9 +404,9 @@ class _SwapState:
 
     def count(self) -> None:
         self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
-        self.counts = _common_counts(self.adj)
-        self.score = sum(c * (c - 1) // 2 for c in self.counts.values())
-        self.bad_pairs = [key for key, c in self.counts.items() if c >= 2]
+        counts = self.counts = _common_counts(self.adj)
+        self.bad_pairs = [key for key, c in counts.items() if c >= 2]
+        self.score = sum(counts[key] * (counts[key] - 1) // 2 for key in self.bad_pairs)
         self.bad_index = {key: i for i, key in enumerate(self.bad_pairs)}
 
     def legal(self, a: int, b: int, c: int, d: int) -> bool:
@@ -479,14 +497,15 @@ class _SwapState:
 def _paired_start(n: int, d: int, rng: random.Random,
                   attempts: int) -> tuple[_SwapState, int] | None:
     """Random simple d-regular start from the pairing model: shuffle the n·d
-    stubs (each vertex d times) and pair them in order. Each loop or repeated
-    pair (a, b) is left out, then replaced with a uniform edge (c, e),
-    oriented by a coin, by (a, c) and (b, e) once `legal` allows it (for a
-    loop, c, e ∉ N(a)). Each proposal spends one of `attempts`. Returns the
-    state and the attempts left, or None when they run out or no edge is
-    simple."""
-    stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
+    stubs (each vertex d times) with `_shuffle` and pair them in order. Each
+    loop or repeated pair (a, b) is left out, then replaced with a uniform
+    edge (c, e), oriented by a coin, by (a, c) and (b, e) once `legal` allows
+    it (for a loop, c, e ∉ N(a)). Each proposal spends one of `attempts`.
+    Returns the state and the attempts left, or None when they run out or no
+    edge is simple."""
+    stubs = sorted(list(range(n)) * d)
+    bits, coin = rng.getrandbits, rng.random
+    _shuffle(bits, stubs)
     adj: list[set[int]] = [set() for _ in range(n)]
     defects = []
     for a, b in zip(stubs[::2], stubs[1::2]):
@@ -497,7 +516,6 @@ def _paired_start(n: int, d: int, rng: random.Random,
             adj[b].add(a)
     state = _SwapState(adj)
     edges, legal = state.edge_list, state.legal
-    bits, coin = rng.getrandbits, rng.random
     for a, b in defects:
         while True:
             if not attempts or not edges:
@@ -550,15 +568,17 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
 
     Starts from a random stub pairing whose loops and repeated edges are
     switched away (`_paired_start`), counts common neighbours once in
-    O(n·d²) memory and time, then walks the switch neighbourhood downhill on
-    the 4-cycle score, scoring each proposal before applying it, until no
-    4-cycle remains; a recount from scratch checks the result
-    (AssertionError, a broken invariant, when it fails). The repair and the
-    descent share one budget of switch proposals per restart. Restarts a
-    bounded number of times and raises GenerationError when the budget runs
-    out. Infeasible parameters (odd n*d, or n below the
-    counting floor d*d - d + 1 for d >= 2) are rejected up front, and for
-    d >= 3 so is n above RANDOM_VERTEX_CEILING (CeilingExceeded).
+    O(n·d²) memory and time over the 2-path keys of `_pair_keys`, then walks
+    the switch neighbourhood downhill on the 4-cycle score, scoring each
+    proposal before applying it, until no 4-cycle remains; a recount from
+    scratch checks the result: the returned graph's n·C(d, 2) 2-path keys
+    must all be distinct (AssertionError, a broken invariant, when they are
+    not). The repair and the descent share one budget of switch proposals
+    per restart. Restarts a bounded number of times and raises
+    GenerationError when the budget runs out. Infeasible parameters (odd
+    n*d, or n below the counting floor d*d - d + 1 for d >= 2) are rejected
+    up front, and for d >= 3 so is n above RANDOM_VERTEX_CEILING
+    (CeilingExceeded).
     """
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")
@@ -602,7 +622,9 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
                 raise AssertionError(f"internal: {exc}") from exc
             if any(len(ns) != d for ns in state.adj):
                 raise AssertionError("internal: swap search broke regularity")
-            if any(c >= 2 for c in _common_counts(state.adj).values()):
+            # g.adjacency is sorted once validated, and its n·C(d, 2) 2-paths
+            # once regular
+            if len(set(_pair_keys(g.adjacency))) != n * (d * (d - 1) // 2):
                 raise AssertionError("internal: swap search left a 4-cycle")
             return g
     raise GenerationError(

@@ -235,6 +235,13 @@ class TestRandomRegularC4Free:
         with pytest.raises(AssertionError, match="internal"):
             gc.generate_random_c4_free_regular(4, 20, 0)
 
+    def test_final_recount_catches_a_skipped_descent(self, monkeypatch):
+        # the paired start of random:4,20 seed 0 has 4-cycles; with no descent
+        # only the distinct-key recount can see them
+        monkeypatch.setattr(gc, "_descend", lambda state, rng, attempts: True)
+        with pytest.raises(AssertionError, match="^internal: swap search left a 4-cycle$"):
+            gc.generate_random_c4_free_regular(4, 20, 0)
+
     def test_peak_memory(self):
         # the counts are O(n·d²); anything O(n²) exceeds the bound at n = 2000
         tracemalloc.start()
@@ -274,6 +281,18 @@ def test_below_draws_as_randrange_does(seed):
         assert ours.getstate() == theirs.getstate(), n
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffle_draws_as_shuffle_does(seed):
+    # lengths 0..300 hold every power of two up to 256 and both its neighbours
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for length in range(301):
+        mine, reference = list(range(length)), list(range(length))
+        gc._shuffle(ours.getrandbits, mine)
+        theirs.shuffle(reference)
+        assert mine == reference, length
+        assert ours.getstate() == theirs.getstate(), length
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_random_generator_against_oracles(data):
@@ -297,6 +316,33 @@ def _pair_counts(adj: list[set[int]]) -> dict[int, int]:
         for v in range(u + 1, n)
         if adj[u] & adj[v]
     }
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_distinct_pair_keys_mean_no_four_cycle(data):
+    """On small adjacency sets, regular (a paired start) or not (any edge
+    set), the keys of `_pair_keys` count each pair's common neighbours, and
+    they are all distinct, one per 2-path, iff no pair has two."""
+    n = data.draw(st.integers(0, 10), label="n")
+    if n >= 5 and data.draw(st.booleans(), label="regular"):
+        d = data.draw(st.integers(3, n - 1).filter(lambda d: n * d % 2 == 0), label="d")
+        start = gc._paired_start(n, d, random.Random(data.draw(st.integers(0, 2**32))), 5000)
+        assume(start is not None)
+        adj = start[0].adj
+    else:
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+    counts = _pair_counts(adj)
+    keys = list(gc._pair_keys([sorted(ns) for ns in adj]))
+    assert Counter(keys) == counts
+    assert gc._common_counts(adj) == counts
+    two_paths = sum(math.comb(len(ns), 2) for ns in adj)
+    assert (len(set(keys)) == two_paths) == (max(counts.values(), default=0) <= 1)
 
 
 def _score(adj: list[set[int]]) -> int:
@@ -393,17 +439,13 @@ def test_paired_start_is_simple_and_regular(data):
     assert sorted(state.edge_list) == [(u, v) for u in range(n) for v in sorted(state.adj[u]) if u < v]
 
 
-class _NoShuffle(random.Random):
-    def shuffle(self, x):
-        pass
-
-
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
-def test_paired_start_without_a_legal_switch_fails(n, d):
+def test_paired_start_without_a_legal_switch_fails(n, d, monkeypatch):
     """Stubs left in order: for (4, 3) the loops at 0 and 1 leave every edge
     on vertex 0, so no switch repairs the loop at 2; for (5, 4) every pair is
     a loop and no edge is simple. Both end as a failed restart."""
-    assert gc._paired_start(n, d, _NoShuffle(0), 10_000) is None
+    monkeypatch.setattr(gc, "_shuffle", lambda bits, x: None)
+    assert gc._paired_start(n, d, random.Random(0), 10_000) is None
 
 
 def test_failed_starts_end_in_a_generation_error(monkeypatch):
