@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 # the parsers refuse a declared vertex count above this before allocating
@@ -346,7 +346,7 @@ GENERATION_RESTARTS = 12
 RANDOM_VERTEX_CEILING = 10_000
 
 
-def _pair_keys(adjacency) -> Iterator[int]:
+def _pair_keys(adjacency: Sequence[Sequence[int]]) -> Iterator[int]:
     """The key u * n + v (u < v) of the end pair of each 2-path u-w-v, centre w
     by centre w, from `combinations(adjacency[w], 2)`; each neighbour list must
     be sorted. A pair's key comes once per common neighbour, so the keys are
@@ -622,8 +622,9 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
                 raise AssertionError(f"internal: {exc}") from exc
             if any(len(ns) != d for ns in state.adj):
                 raise AssertionError("internal: swap search broke regularity")
-            # g.adjacency is sorted once validated, and its n·C(d, 2) 2-paths
-            # once regular
+            # validated, g's neighbour lists are sorted; regular, g has
+            # n·C(d, 2) 2-paths, whose keys are distinct iff no pair has two
+            # common neighbours
             if len(set(_pair_keys(g.adjacency))) != n * (d * (d - 1) // 2):
                 raise AssertionError("internal: swap search left a 4-cycle")
             return g
