@@ -359,8 +359,10 @@ def _pair_keys(adjacency: Sequence[Sequence[int]]) -> Iterator[int]:
 
 def _common_counts(adj: list[set[int]]) -> dict[int, int]:
     """Common-neighbour count of each pair that has one, keyed u * n + v (u < v),
-    counted over `_pair_keys` and in the order of its first keys."""
-    return Counter(_pair_keys([sorted(ns) for ns in adj]))
+    counted over `_pair_keys` and in the order of its first keys. A plain
+    dict, not the Counter: the interpreter's fast paths for `counts[key] =`
+    take only an exact dict, and `try_swap` stores into it on every accept."""
+    return dict(Counter(_pair_keys([sorted(ns) for ns in adj])))
 
 
 def _below(bits, n: int) -> int:
