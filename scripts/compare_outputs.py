@@ -9,9 +9,12 @@ copies of Petersen (kappa = 0, the second with three components), Heawood,
 Petersen beside Heawood (the only graph here whose full seed certifies
 after it rejects centers: a Hall violator rejects each of the ten of
 Petersen, and center 10 certifies), cubic chains of 2-5 beads, the bridge
-pair, the cube labelled so that the greedy path search falls short
-(CUBE_EDGES), chains of 3 and 6 circulants (kappa = 3 < delta = 5, the only
-graphs here whose analyze runs the kappa + 1 sweep), generalized Petersen
+pair, the cube labelled so that a greedy fan falls short (CUBE_EDGES),
+chains of 3 and 6 circulants (kappa = 3 < delta = 5), two cliques joined
+by three vertices (kappa = 3 < delta = 4), labelled so that Even's check in
+vertex_connectivity fails first at a pair and at a fan (joined_cliques;
+these and the circulant chains are the only graphs here whose analyze runs
+the kappa + 1 sweep), generalized Petersen
 graphs, N graphs random:d,n for each d = 3-5, N rings of three random
 C4-free 4-regular blocks, and random:3,1000 and random:4,1000 (seed 0).
 Each graph's edge-list text is the stdin of `color` with every strategy
@@ -63,8 +66,8 @@ COMMANDS = [["color", "--strategy", s] for s in STRATEGIES] + [
 
 RANDOM_SIZES = {3: 30, 4: 40, 5: 50}
 
-# the cube, labelled so that 0 and 7 are antipodal: the greedy path search
-# finds two of the three disjoint paths between them, and the flow the third
+# the cube, labelled so that 0 and 7 are antipodal: the greedy fan of vertex
+# 1 in vertex_connectivity finds two of its three paths, and the flow the third
 CUBE_EDGES = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 6), (2, 5),
               (2, 6), (3, 4), (3, 5), (4, 7), (5, 7), (6, 7)]
 
@@ -122,6 +125,17 @@ def chain_of_circulants(blocks: int) -> gc.Graph:
     return gc.Graph.from_edges(12 * blocks, edges)
 
 
+def joined_cliques(a: range, b: range) -> gc.Graph:
+    """Two copies of K6, on the vertices a and b, joined through the
+    vertices 0, 13 and 14: 0 is adjacent to a[4:] and b[4:], 13 to a[2:4]
+    and b[2:4], 14 to a[:2] and b[:2]. kappa = 3 < delta = 4, and {0, 13,
+    14} is the only separator of fewer than 4 vertices."""
+    edges = [(u, v) for clique in (a, b) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    for c, part in ((0, slice(4, 6)), (13, slice(2, 4)), (14, slice(0, 2))):
+        edges += [(c, v) for v in (*a[part], *b[part])]
+    return gc.Graph.from_edges(15, edges)
+
+
 def dimacs_text(g: gc.Graph) -> str:
     """g as DIMACS .col text, whose vertices are 1-based."""
     lines = [f"p edge {g.vertex_count} {g.edge_count}"]
@@ -140,6 +154,8 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     graphs["bridge-pair"] = gc.generate_cubic_bridge_pair()
     graphs["cube"] = gc.Graph.from_edges(8, CUBE_EDGES)
     graphs |= {f"circulant-chain:{b}": chain_of_circulants(b) for b in (3, 6)}
+    graphs["cliques-pair-fails"] = joined_cliques(range(1, 13, 2), range(2, 13, 2))
+    graphs["cliques-fan-fails"] = joined_cliques(range(1, 7), range(7, 13))
     graphs |= {f"gp:{n},{k}": gc.generate_generalized_petersen(n, k)
                for n, k in ((7, 2), (8, 3))}
     for seed in range(count):

@@ -39,13 +39,13 @@ _BFS_MASK_BYTES = 64 << 20
 # The 10**4-vertex Petersen lift charges 110,480,000
 _BFS_WORD_BUDGET = 2_000_000_000
 
-# split-graph arcs one vertex_connectivity call may charge its capped flows,
-# each flow the whole split graph (2n + 4m arcs), before it raises
-# CeilingExceeded: over 1,600 times the most that a test graph needs (12,000
-# on a 36-vertex chain of circulants), and 2,000 times the most that a
-# compare_outputs.py or benchmark graph would (9,900 on a 990-vertex
-# large-lower-bound graph; 1,560 on the 78-vertex rings that are analyzed).
-# A flow on a 10**4-vertex cubic graph charges 80,000
+# split-graph arcs one vertex_connectivity call may charge its flows, each
+# flow the arcs its searches scan, before it raises CeilingExceeded: over
+# 1,100 times the most that a test graph needs (16,788 on a 300-vertex
+# Petersen lift), 230 times the most that a compare_outputs.py graph needs
+# (86,246 on random:4,1000) and 5,800 times the most that a mid-auto graph
+# needs (3,441). The 10**4-vertex lifts of Petersen, PG(2,3) and PG(2,5)
+# charge 977,114, 1,145,533 and 2,317,974
 _FLOW_ARC_BUDGET = 20_000_000
 
 
@@ -242,69 +242,84 @@ class CutCertificate:
 
 
 def _min_vertex_cut(
-    adj: list[list[int]], s: int, t: int, cap: int, flow: int, prev: dict[int, int]
+    adj: list[list[int]], s: int, ends: set[int] | frozenset[int], cap: int, flow: int,
+    prev: dict[int, int], arcs: list[int],
 ) -> tuple[int, tuple[int, ...] | None, list[int]]:
-    """Minimum s-t vertex cut by unit-capacity flow on the vertex-split
-    graph, from the flow of the paths that prev records (_disjoint_paths)
-    and up to cap. Node 2v is v_in and 2v + 1 is v_out; the flow runs from
-    s_out to t_in. Each edge uv gives the arcs u_out -> v_in and
-    v_out -> u_in of capacity n + 1, and each v other than s and t the arc
-    v_in -> v_out of capacity 1. The residual arcs are read off adj and
-    prev, which maps each vertex on the flow's paths to the one before it:
+    """Most paths from s to distinct vertices of ends, disjoint but for s,
+    and a minimum vertex cut of them, by unit-capacity flow on the
+    vertex-split graph, from the flow of the paths that prev records and up
+    to cap. s must not be in ends, and each path must end at its first
+    vertex in ends. Node 2v is v_in and 2v + 1 is v_out; the flow runs from
+    s_out to a sink T. Each edge uv gives the arcs u_out -> v_in and
+    v_out -> u_in of capacity n + 1, each v other than s the arc
+    v_in -> v_out of capacity 1, and each v in ends the arc v_out -> T.
+    With ends = N(t), t not adjacent to s, that is the s-t flow with t_in as
+    T, and t is never entered. The residual arcs are read off adj and prev,
+    which maps each vertex on the flow's paths to the one before it:
     v_out -> u_in for every neighbour u, v_out -> v_in and
     v_in -> prev[v]_out when v is on a path, and v_in -> v_out when it is
-    not. Each augmentation updates prev in place.
+    not. A search reaches T, and stops, once it labels v_in of a v in ends
+    on no path. It enters an end on a path only at v_in, and turns back
+    there along the path, so after each augmentation, which updates prev
+    in place, every path still ends at its first end. arcs[0] counts the
+    arcs the searches scan, across calls; past _FLOW_ARC_BUDGET a search
+    raises CeilingExceeded.
 
     Returns (flow, cut, beyond) when the flow is exhausted below cap, else
-    (cap, None, []) once cap is reached (search aborted). The cut is read
-    off the nodes the last, failed BFS labels from the source: the v with
+    (flow, None, []) once flow >= cap (search aborted). The cut is read off
+    the nodes the last, failed search labels from the source: the v with
     v_in labelled and v_out not. That set is the same for every maximum
     flow, whichever flow it started from, so neither the paths nor the arc
     order change it. beyond lists the vertices whose v_in it leaves
-    unlabelled; apart from s, those are the vertices neither in the cut
-    nor in the component of s in g minus the cut.
+    unlabelled; for ends = N(t), apart from s, those are the vertices
+    neither in the cut nor in the component of s in g minus the cut.
     """
-    n = len(adj)
-    # the internal arcs of s and t stay closed: s_in -> s_out leads only to
-    # the labelled source, and the search stops at t_in, so neither is cut
-    source, sink = 2 * s + 1, 2 * t
+    # s_in -> s_out leads only to the labelled source, so s is never cut
+    source = 2 * s + 1
     while flow < cap:
-        via = [-1] * (2 * n)  # the node that labelled each node
-        via[source] = source
+        via = {source: source}  # the node that labelled each node
         queue = [source]
         for x in queue:
             v = x >> 1
-            if x & 1:
-                for y in adj[v]:
-                    if via[2 * y] == -1:
-                        via[2 * y] = x
-                        queue.append(2 * y)
-                if v in prev and via[x - 1] == -1:
-                    via[x - 1] = x
-                    queue.append(x - 1)
-            else:
+            if not x & 1:
                 y = 2 * prev[v] + 1 if v in prev else x + 1
-                if via[y] == -1:
+                if y not in via:
                     via[y] = x
                     queue.append(y)
-            if via[sink] != -1:
-                break
+                continue
+            arcs[0] += len(adj[v])
+            for y in adj[v]:
+                if 2 * y not in via:
+                    via[2 * y] = x
+                    if y in ends and y not in prev:
+                        break
+                    queue.append(2 * y)
+            else:
+                if v in prev and x - 1 not in via:
+                    via[x - 1] = x
+                    queue.append(x - 1)
+                continue
+            x = 2 * y
+            break
         else:
-            cut = tuple(v for v in range(n) if via[2 * v] != -1 and via[2 * v + 1] == -1)
+            x = source  # no augmenting path
+        arcs[0] += len(queue)
+        if arcs[0] > _FLOW_ARC_BUDGET:
+            raise CeilingExceeded(f"vertex connectivity flows passed {_FLOW_ARC_BUDGET} split-graph arcs")
+        if x == source:
+            cut = tuple(sorted(u >> 1 for u in via if not u & 1 and u + 1 not in via))
             if len(cut) != flow:
                 raise AssertionError("min-cut extraction disagrees with flow value")
-            return flow, cut, [v for v in range(n) if via[2 * v] == -1]
+            return flow, cut, [v for v in range(len(adj)) if 2 * v not in via]
         # augment: each v_in on the path takes as prev[v] the vertex whose
         # out-node labelled it, or leaves the paths when v_out labelled it
-        y = via[sink]
-        while y != source:
-            x = via[y]
+        while x != source:
+            y, x = x, via[x]
             if not y & 1:
                 if x == y + 1:
                     del prev[y >> 1]
                 else:
                     prev[y >> 1] = x >> 1
-            y = x
         flow += 1
     return flow, None, []
 
@@ -354,22 +369,33 @@ def _disjoint_paths(adj: list[list[int]], s: int, t: int, cap: int) -> tuple[int
 def vertex_connectivity(g: Graph) -> CutCertificate:
     """Exact kappa with a witnessing separator and the split components.
 
-    kappa by Esfahanian and Hakimi (Networks 14, 1984): with v the smallest
-    vertex of minimum degree delta, a minimum separator S either misses v,
-    and then splits v from some non-neighbour w, or contains v, and then
-    (being minimal) splits two non-adjacent neighbours of v. So kappa is
-    delta or the smallest of the O(n + delta^2) flows from v to each
-    non-neighbour and between each two non-adjacent neighbours, each flow
-    capped at the best value so far (Even and Tarjan, SIAM J. Comput. 1975:
-    unit flows on the vertex-split graph).
+    kappa by Even's check (SIAM J. Comput. 4, 1975) on any order v_1..v_n
+    of the vertices: kappa >= k if and only if every two non-adjacent
+    vertices of v_1..v_k are joined by k internally disjoint paths, and for
+    each j > k some k paths from v_j end in distinct vertices of
+    v_1..v_(j-1), disjoint but for v_j (a fan). Proof: take a separator S
+    with |S| < k, v_a the first vertex outside S and v_b the first one
+    outside S and the component of v_a in g - S. If b <= k, S splits the
+    non-adjacent pair (v_a, v_b). Otherwise every path from v_b to an
+    earlier vertex meets S, so v_b has no fan of k. Conversely, a test that
+    finds c < k paths has a cut of c vertices, a separator of g: a fan's
+    cut leaves v_j apart from some earlier vertex, as c < j - 1. Adjacent
+    pairs need no test, since no separator splits them.
 
-    Before each capped flow, _disjoint_paths looks for cap internally
-    disjoint paths between the pair; by Menger's theorem finding them means
-    the flow would reach its cap, so it is skipped. When the greedy search
-    falls short, which it always does on a pair split by fewer than cap
-    vertices, the flow goes on from the paths it found. Each flow is
-    charged the arcs of the whole split graph, 2n + 4m, and a call whose
-    flows pass _FLOW_ARC_BUDGET arcs raises CeilingExceeded.
+    The order here is by distance from vertex 0, the farthest first, so
+    that most neighbours of v_j, those farther out, come before it. The
+    check runs at k = delta, and again at k = c after a test finds c < k
+    paths, until it passes at k = kappa. A pair test is _disjoint_paths,
+    and when the greedy paths fall short, which they always do on a pair
+    split by fewer than k vertices, the flow goes on from them (Even and
+    Tarjan, SIAM J. Comput. 1975: unit flows on the vertex-split graph).
+    A fan takes first the one-edge paths to earlier neighbours and the
+    two-edge paths through a later neighbour to one of its earlier
+    neighbours; when those fall short, the flow to the earlier vertices
+    goes on from them. A fan's paths are short, so its flow labels few
+    nodes. Each flow is charged the split-graph arcs its searches scan,
+    and a call whose flows pass _FLOW_ARC_BUDGET arcs raises
+    CeilingExceeded.
 
     The separator is the lexicographically smallest of the cuts read off
     the pairs s < t, s not adjacent to t, whose flow is kappa. A pair's cut
@@ -395,8 +421,8 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     the closest one. So C' = C.
 
     One DFS of the whole graph for its cut vertices (_cut_vertex_pieces)
-    decides kappa = 1, and then no Esfahanian-Hakimi flow runs. Otherwise
-    kappa >= 2, and those flows stop once kappa = 2 is reached.
+    decides kappa = 1, and then Even's check does not run. Otherwise
+    kappa >= 2, and it stops once a test finds 2 paths.
 
     For kappa <= 2 the sweep runs no flow: it reads every cut off a listing
     of the kappa-separators with their pieces (the components they leave).
@@ -424,43 +450,49 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
     if g.edge_count == n * (n - 1) // 2:
         return CutCertificate(n - 1, tuple(range(1, n)), ((0,),))
     adj = g.adjacency
-    work = 0
+    sets = g.neighbor_sets
+    arcs = [0]
 
     def capped_flow(s: int, t: int, cap: int) -> tuple[int, tuple[int, ...] | None, list[int]]:
         """_min_vertex_cut from the paths of _disjoint_paths, or
         (cap, None, []) with no flow when cap disjoint paths join s and t."""
-        nonlocal work
         found, prev = _disjoint_paths(adj, s, t, cap)
-        if found == cap:
-            return cap, None, []
-        work += 2 * n + 4 * g.edge_count
-        if work > _FLOW_ARC_BUDGET:
-            raise CeilingExceeded(
-                f"vertex connectivity flows passed {_FLOW_ARC_BUDGET} split-graph arcs"
-            )
-        return _min_vertex_cut(adj, s, t, cap, found, prev)
+        return _min_vertex_cut(adj, s, sets[t], cap, found, prev, arcs) if found < cap else (cap, None, [])
+
+    def even(k: int) -> int:
+        """k when kappa >= k by Even's check, else the paths c < k that the
+        first failed test finds."""
+        for s, t in combinations(order[:k], 2):
+            if t not in sets[s] and (c := capped_flow(s, t, k)[0]) < k:
+                return c
+        earlier = set(order[:k])
+        for v in order[k:]:
+            prev = {u: v for u in adj[v] if u in earlier}
+            for w in adj[v]:
+                if w not in earlier:
+                    for u in adj[w]:
+                        if u in earlier and u not in prev:
+                            prev[w], prev[u] = v, w
+                            break
+            found = len(earlier.intersection(prev))
+            if found < k and (c := _min_vertex_cut(adj, v, earlier, k, found, prev, arcs)[0]) < k:
+                return c
+            earlier.add(v)
+        return k
 
     degs = g.degrees()
     listing = _cut_vertex_pieces(g, ())
     best = 1 if listing else min(degs)
     if not listing:
-        v = degs.index(best)
-        pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
-        pairs += [(x, y) for x, y in combinations(adj[v], 2) if not g.has_edge(x, y)]
-        for s, t in pairs:
-            if best == 2:
-                break
-            best = min(best, capped_flow(s, t, best)[0])
-        if best == max(degs):
-            separator = min(
-                adj[s] for s in range(n)
-                if any(not g.has_edge(s, t) for t in range(s + 1, n))
-            )
-            return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
-        if best == 2:
+        order = sorted(range(n), key=_bfs_distances(g, 0).__getitem__, reverse=True)
+        while best > 2 and (c := even(best)) < best:
+            best = c
+        if best == 2 < max(degs):
             listing = [cut for x in range(n) for cut in _cut_vertex_pieces(g, (x,))]
     cuts = set()
-    if best <= 2:
+    if best == max(degs):
+        cuts.add(min(adj[s] for s in range(n) if any(t not in sets[s] for t in range(s + 1, n))))
+    elif best <= 2:
         todo = [-1 << (s + 1) for s in range(n)]  # todo[s]: the sinks t > s not yet read
         # every piece, the smallest first; dict() keeps each separator once,
         # where the kappa = 2 listing has it from each of its two vertices
@@ -477,15 +509,13 @@ def vertex_connectivity(g: Graph) -> CutCertificate:
                 piece ^= low
     else:
         for s in range(n):
-            settled = [False] * n
+            settled = set(sets[s])
             for t in range(s + 1, n):
-                if settled[t] or g.has_edge(s, t):
-                    continue
-                _, cut, beyond = capped_flow(s, t, best + 1)
-                if cut is not None:
-                    cuts.add(cut)
-                    for x in beyond:
-                        settled[x] = True
+                if t not in settled:
+                    _, cut, beyond = capped_flow(s, t, best + 1)
+                    if cut is not None:
+                        cuts.add(cut)
+                        settled.update(beyond)
     separator = min(cuts)
     return CutCertificate(best, separator, connected_components(g, frozenset(separator)))
 

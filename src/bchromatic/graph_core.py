@@ -578,9 +578,9 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     not). The repair and the descent share one budget of switch proposals
     per restart. Restarts a bounded number of times and raises
     GenerationError when the budget runs out. Infeasible parameters (odd
-    n*d, or n below the counting floor d*d - d + 1 for d >= 2) are rejected
-    up front, and for d >= 3 so is n above RANDOM_VERTEX_CEILING
-    (CeilingExceeded).
+    n*d, or n below the counting floor d*d - d + 1 for d >= 2, or at it for
+    d >= 3) are rejected up front, and for d >= 3 so is n above
+    RANDOM_VERTEX_CEILING (CeilingExceeded).
     """
     if d < 0 or n < 0:
         raise ValueError("d and n must be nonnegative")
@@ -588,12 +588,13 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
         raise ValueError("n*d must be even")
     if d >= n and not (d == 0):
         raise ValueError("a simple d-regular graph needs more than d vertices")
-    if d >= 2 and n < d * d - d + 1:
-        # a C4-free graph has at most one common neighbor per vertex pair,
-        # so counting 2-paths forces n >= d^2 - d + 1
-        raise ValueError(
-            f"no C4-free {d}-regular graph exists on {n} vertices (need n >= {d * d - d + 1})"
-        )
+    # a C4-free graph has at most one common neighbor per vertex pair, so
+    # counting 2-paths forces n >= d^2 - d + 1. At equality every pair has
+    # exactly one, and by the friendship theorem (Erdos, Renyi and Sos 1966)
+    # the graph is a windmill, which is regular only for d = 2
+    floor = d * d - d + 1 + (d >= 3)
+    if d >= 2 and n < floor:
+        raise ValueError(f"no C4-free {d}-regular graph exists on {n} vertices (need n >= {floor})")
     if d == 0:
         return Graph.from_edges(n, [])
     if d == 1:

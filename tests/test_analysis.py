@@ -164,6 +164,21 @@ def count_calls(monkeypatch, module, name: str) -> list[int]:
     return calls
 
 
+def record_flows(monkeypatch) -> list[tuple]:
+    """Record each _min_vertex_cut call from here on, in a list, as
+    (s, ends, cap, found, flow, cut) with ends copied to a frozenset."""
+    flows = []
+    original = analysis._min_vertex_cut
+
+    def recorded(adj, s, ends, cap, found, prev, arcs):
+        result = original(adj, s, ends, cap, found, prev, arcs)
+        flows.append((s, frozenset(ends), cap, found, *result[:2]))
+        return result
+
+    monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+    return flows
+
+
 class TestRegularityAndSmallPatterns:
     def test_is_regular(self, petersen):
         assert analysis.is_regular(petersen) == 3
@@ -406,7 +421,7 @@ class TestVertexConnectivity:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_sweep_reference(self, data):
-        g = random_density_graph(data)
+        g = data.draw(st.sampled_from((random_density_graph, random_ring, hub_graph)))(data)
         cert = analysis.vertex_connectivity(g)
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
@@ -428,61 +443,84 @@ class TestVertexConnectivity:
         assert cert == analysis.CutCertificate(1, (0,), ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10)))
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
+    def test_check_fails_at_a_pair(self, monkeypatch):
+        """Two cliques joined through 0, 13 and 14, with one clique on the
+        odd and one on the even vertices 1-12. The vertices by distance from
+        0, farthest first, begin 13, 14, 1, 2, and the only separator below
+        delta = 4, {0, 13, 14}, splits 1 from 2: no fan sees it, and the
+        first flow, the pair test of (1, 2), finds 3 paths and that cut.
+        The check passes again at k = 3."""
+        g = compare_outputs.joined_cliques(range(1, 13, 2), range(2, 13, 2))
+        flows = record_flows(monkeypatch)
+        cert = analysis.vertex_connectivity(g)
+        assert flows[:2] == [(1, g.neighbor_sets[2], 4, 3, 3, (0, 13, 14)),
+                             (2, frozenset({13, 14, 1}), 3, 2, 3, None)]
+        assert cert == analysis.CutCertificate(3, (0, 13, 14), (tuple(range(1, 13, 2)), tuple(range(2, 13, 2))))
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
+    def test_check_fails_at_a_fan(self, monkeypatch):
+        """The cliques of test_check_fails_at_a_pair on 1-6 and 7-12: the
+        order begins 13, 14, 1, 2, 3, 4, 7, all pairs pass, and 7 is the
+        first vertex of the second clique. Its greedy fan takes 7-14 and
+        7-9-13, two of 4, and the flow from there finds one more path, over
+        0 into the first clique, and the cut {0, 13, 14}. Before it the
+        greedy fan of 3 falls short by one path, which the flow finds."""
+        g = compare_outputs.joined_cliques(range(1, 7), range(7, 13))
+        flows = record_flows(monkeypatch)
+        cert = analysis.vertex_connectivity(g)
+        assert flows[:3] == [(3, frozenset({13, 14, 1, 2}), 4, 3, 4, None),
+                             (7, frozenset({13, 14, 1, 2, 3, 4}), 4, 2, 3, (0, 13, 14)),
+                             (7, frozenset({13, 14, 1, 2, 3, 4}), 3, 2, 3, None)]
+        assert cert == analysis.CutCertificate(3, (0, 13, 14), (tuple(range(1, 7)), tuple(range(7, 13))))
+        assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
+
     def test_flow_count_on_lift(self, monkeypatch, capsys, tmp_path):
-        """A cubic lift with kappa = d = 3: disjoint paths settle every
-        Esfahanian-Hakimi pair, so no flow runs, in vertex_connectivity or
-        in analyze."""
+        """A cubic lift with kappa = d = 3 on 300 vertices: the greedy paths
+        settle every pair test and the fans of 101 of the 297 other
+        vertices, and each of the other 196 fans runs one flow that reaches
+        3 from its greedy paths, in vertex_connectivity and again in
+        analyze."""
         g = petersen_lift(30, seed=0)
-        flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
+        flows = record_flows(monkeypatch)
         assert analysis.vertex_connectivity(g).kappa == 3
         path = tmp_path / "lift.txt"
         path.write_text(gc.serialize_edge_list(g))
         assert cli.main(["analyze", "--input", str(path), "--output", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["kappa"] == 3
-        assert flows[0] == 0
+        assert len(flows) == 2 * 196
+        assert all(cap == 3 > found and (flow, cut) == (3, None) and len(ends) >= 3
+                   for _, ends, cap, found, flow, cut in flows)
 
     def test_fallback_flow_on_cube(self, monkeypatch):
         """On the cube, labelled so that 0 and 7 are antipodal, three
         disjoint paths join 0 and 7 (through 1-6, 2-5 and 3-4), but the
-        greedy search takes 0-1-4-7 and 0-2-5-7 first, which leave 3 no way
-        through. So the flow capped at 3 runs for that pair, goes on from
-        those two paths, reaches its cap with one augmentation, and the
-        certificate stays the reference's."""
+        greedy path search takes 0-1-4-7 and 0-2-5-7 first, which leave 3 no
+        way through. Even's check does not test that pair: by distance from
+        0, farthest first, the order is 7, 4, 5, 6, 1, 2, 3, 0. The greedy
+        fan of 1 takes 1-4 and 1-6, and 0, its one later neighbour, has no
+        earlier neighbour, so the one flow runs for that fan and reaches 3
+        with one augmentation; the certificate stays the reference's."""
         g = gc.Graph.from_edges(8, CUBE_EDGES)
         assert analysis._disjoint_paths(g.adjacency, 0, 7, 3) == (2, {1: 0, 4: 1, 2: 0, 5: 2})
         assert analysis._disjoint_paths(g.adjacency, 0, 7, 2)[0] == 2
-        flows = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            entered = args[4]
-            result = original(*args)
-            flows.append((args[1:4], entered, result[:2]))
-            return result
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        flows = record_flows(monkeypatch)
         cert = analysis.vertex_connectivity(g)
-        assert flows == [((0, 7, 3), 2, (3, None))]
+        assert flows == [(1, frozenset({7, 4, 5, 6}), 3, 2, 3, None)]
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_flows_go_on_from_the_greedy_paths(self, monkeypatch):
-        """On c4_free_ring() the greedy search finds 3 of 4 paths for the
-        Esfahanian-Hakimi pairs (0, 7), (0, 9) and (0, 13), in the first
-        block, and each flow reaches 4 from there; for (0, 15), in the next
-        block, it finds 2, and the flow returns kappa = 2 with its cut."""
-        flows = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            entered = args[4]
-            result = original(*args)
-            flows.append((args[1:4], entered, result[:2]))
-            return result
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        """On c4_free_ring() the greedy fans of eight vertices fall one or
+        two paths short of delta = 4, and each flow reaches 4 from there.
+        The fan of 33 finds 1 path, to 32, and its flow returns kappa = 2
+        with the cut {30, 31}, which ends the check."""
+        flows = record_flows(monkeypatch)
         assert analysis.vertex_connectivity(c4_free_ring()).kappa == 2
-        assert flows == [((0, 7, 4), 3, (4, None)), ((0, 9, 4), 3, (4, None)),
-                         ((0, 13, 4), 3, (4, None)), ((0, 15, 4), 2, (2, (1, 31)))]
+        assert [(s, found, flow, cut) for s, _, _, found, flow, cut in flows] == [
+            (22, 3, 4, None), (24, 2, 4, None), (25, 3, 4, None), (26, 2, 4, None),
+            (27, 3, 4, None), (28, 3, 4, None), (16, 3, 4, None), (17, 3, 4, None),
+            (33, 1, 2, (30, 31)),
+        ]
+        assert all(cap == 4 and s not in ends for s, ends, cap, *_ in flows)
 
     def test_flow_walks_back_along_the_paths(self):
         """Between 0 and 14 the greedy search takes 0-9-10-11-14, which
@@ -496,7 +534,9 @@ class TestVertexConnectivity:
         ])
         found, prev = analysis._disjoint_paths(g.adjacency, 0, 14, 3)
         assert (found, prev) == (1, {9: 0, 10: 9, 11: 10})
-        assert analysis._min_vertex_cut(g.adjacency, 0, 14, 3, found, prev) == (2, (9, 11), [12, 13, 14])
+        arcs = [0]
+        flow = analysis._min_vertex_cut(g.adjacency, 0, g.neighbor_sets[14], 3, found, prev, arcs)
+        assert (flow, arcs) == ((2, (9, 11), [12, 13, 14]), [96])
         assert prev == {2: 0, 4: 2, 6: 4, 11: 6, 9: 0, 12: 9, 13: 12}
         assert oracles._min_vertex_cut(oracles._split_graph(g), 0, 14, 3) == (2, (9, 11))
 
@@ -514,28 +554,44 @@ class TestVertexConnectivity:
         s, t = data.draw(st.sampled_from(pairs))
         cap = data.draw(st.integers(min_value=1, max_value=min(g.degrees()) + 1))
         found, prev = analysis._disjoint_paths(g.adjacency, s, t, cap)
-        flow, cut, beyond = analysis._min_vertex_cut(g.adjacency, s, t, cap, found, prev)
+        flow, cut, beyond = analysis._min_vertex_cut(g.adjacency, s, g.neighbor_sets[t], cap, found, prev, [0])
         assert (flow, cut) == oracles._min_vertex_cut(oracles._split_graph(g), s, t, cap)
         if cut is not None:
             side = next(c for c in oracles._components(g, frozenset(cut)) if s in c)
             assert set(beyond) - {s} == set(range(n)) - set(cut) - set(side)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fan_flow_matches_reference(self, data):
+        """For a random vertex s, a random set of ends without s and cap 1
+        to len(ends) + 1, the flow to distinct ends gives the reference's
+        flow value and cut from s to a vertex t added next to every end."""
+        g = data.draw(st.sampled_from((random_density_graph, random_ring, hub_graph)))(data)
+        n = g.vertex_count
+        assume(n >= 2)
+        s = data.draw(st.integers(min_value=0, max_value=n - 1))
+        ends = data.draw(st.sets(st.sampled_from([v for v in range(n) if v != s]), min_size=1))
+        cap = data.draw(st.integers(min_value=1, max_value=len(ends) + 1))
+        flow, cut, _ = analysis._min_vertex_cut(g.adjacency, s, ends, cap, 0, {}, [0])
+        joined = gc.Graph.from_edges(n + 1, list(g.edges()) + [(v, n) for v in ends])
+        assert (flow, cut) == oracles._min_vertex_cut(oracles._split_graph(joined), s, n, cap)
+
     def test_flow_budget(self, monkeypatch, capsys):
-        """The cube of test_fallback_flow_on_cube runs one flow, charged its
-        whole split graph (2n + 4m = 64 arcs): a budget of 64 lets it run,
-        63 raises CeilingExceeded, and analyze then exits 2 with the
-        message on stderr."""
+        """The cube of test_fallback_flow_on_cube runs one flow, for the fan
+        of 1, charged the split-graph arcs its searches scan: 19. A budget
+        of 19 lets it run, 18 raises CeilingExceeded, and analyze then
+        exits 2 with the message on stderr."""
         g = gc.Graph.from_edges(8, CUBE_EDGES)
-        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 64)
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 19)
         assert analysis.vertex_connectivity(g).kappa == 3
-        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 63)
-        with pytest.raises(gc.CeilingExceeded, match="passed 63 split-graph arcs"):
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 18)
+        with pytest.raises(gc.CeilingExceeded, match="passed 18 split-graph arcs"):
             analysis.vertex_connectivity(g)
         monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
         assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "bchromatic: vertex connectivity flows passed 63 split-graph arcs\n"
+        assert captured.err == "bchromatic: vertex connectivity flows passed 18 split-graph arcs\n"
 
     def test_found_cut_settles_only_sinks_beyond_it(self):
         """From s = 1 the first cut, {3} for the sink 2, leaves 0 and 9 on
@@ -568,7 +624,7 @@ class TestVertexConnectivity:
 
     def test_ring_sweep_reads_cuts_off_the_listing(self, monkeypatch):
         """On a ring of three C4-free 4-regular blocks (kappa = 2) the only
-        flows are Esfahanian-Hakimi flows capped at delta = 4: none is
+        flows are those of Even's check, capped at delta = 4: none is
         capped at kappa + 1 = 3, since the sweep reads each pair's cut off
         the 2-separator listing, and the certificate stays the
         reference's."""
@@ -588,31 +644,27 @@ class TestVertexConnectivity:
 
     def test_sweep_above_two_flows_only_where_a_cut_is(self, monkeypatch):
         """Three circulants C12(1, 2, 3) in a chain
-        (compare_outputs.chain_of_circulants): kappa = 3 < delta = 5. Every
-        flow that runs, Esfahanian-Hakimi (cap 5) or sweep (cap
-        kappa + 1 = 4), finds a 3-cut: the greedy paths settle every other
-        pair. The certificate stays the reference's."""
+        (compare_outputs.chain_of_circulants): kappa = 3 < delta = 5. Even's
+        check at k = 5 ends at the first flow that falls below 5, with 3
+        paths, and passes at k = 3, where every flow reaches 3. Every sweep
+        flow (cap kappa + 1 = 4) finds a 3-cut: the greedy paths settle
+        every other pair. The certificate stays the reference's."""
         g = compare_outputs.chain_of_circulants(3)
-        flows = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            result = original(*args)
-            flows.append((args[3], result[0], result[1] is not None))
-            return result
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        flows = record_flows(monkeypatch)
         cert = analysis.vertex_connectivity(g)
         assert (cert.kappa, min(g.degrees())) == (3, 5)
-        assert {cap for cap, _, _ in flows} == {4, 5}
-        assert all(value == 3 and cut for _, value, cut in flows)
+        check = [(flow, cut is not None) for _, _, cap, _, flow, cut in flows if cap == 5]
+        assert check[-1] == (3, True) and all(flow == 5 for flow, _ in check[:-1])
+        assert all(flow == 3 and cut is None for _, _, cap, _, flow, cut in flows if cap == 3)
+        assert {cap for _, _, cap, *_ in flows} == {3, 4, 5}
+        assert all(flow == 3 and cut for _, _, cap, _, flow, cut in flows if cap == 4)
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_flows_stop_at_kappa(self, monkeypatch):
         """The cut-vertex DFS decides kappa = 1, so the bridge pair runs no
-        flow. For kappa = 2 the Esfahanian-Hakimi flows stop at the one that
-        finds kappa, and the sweep runs none: every flow is capped above
-        kappa, and only the last one returns kappa."""
+        flow. For kappa = 2 Even's check stops at the flow that finds kappa,
+        and the sweep runs none: every flow is capped above kappa, and only
+        the last one returns kappa."""
         flows = []
         original = analysis._min_vertex_cut
 

@@ -65,6 +65,15 @@ class TestGenerate:
         code, _, _ = run_cli(monkeypatch, capsys, ["generate", "--input", "random:3,9"])
         assert code == 1
 
+    @pytest.mark.parametrize("d,n", [(4, 13), (6, 31)])
+    def test_friendship_size_exits_one(self, monkeypatch, capsys, d, n):
+        """n = d^2 - d + 1 would give every pair one common neighbour, a
+        windmill by the friendship theorem, so no d-regular graph for
+        d >= 3: refused before any search."""
+        code, out, err = run_cli(monkeypatch, capsys, ["generate", "--input", f"random:{d},{n}"])
+        assert (code, out) == (1, "")
+        assert err == f"bchromatic: no C4-free {d}-regular graph exists on {n} vertices (need n >= {n + 1})\n"
+
     def test_exhausted_search_exits_two(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["generate", "--input", "random:2,4"])
         assert code == 2

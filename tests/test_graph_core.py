@@ -188,6 +188,9 @@ class TestRandomRegularC4Free:
             gc.generate_random_c4_free_regular(5, 4, 0)  # d >= n
         with pytest.raises(ValueError):
             gc.generate_random_c4_free_regular(4, 10, 0)  # below the n >= d^2-d+1 floor
+        for d, n in ((4, 13), (6, 31)):  # at it: a friendship graph, not regular
+            with pytest.raises(ValueError, match=f"need n >= {n + 1}"):
+                gc.generate_random_c4_free_regular(d, n, 0)
 
     def test_impossible_small_case_raises_generation_error(self):
         with pytest.raises(gc.GenerationError):
