@@ -511,8 +511,8 @@ class TestVertexConnectivity:
     def test_flows_go_on_from_the_greedy_paths(self, monkeypatch):
         """On c4_free_ring() the greedy fans of eight vertices fall one or
         two paths short of delta = 4, and each flow reaches 4 from there.
-        The fan of 33 finds 1 path, to 32, and its flow returns kappa = 2
-        with the cut {30, 31}, which ends the check."""
+        The fan of 33 finds 1 path, 33-30-16, and its flow returns
+        kappa = 2 with the cut {30, 31}, which ends the check."""
         flows = record_flows(monkeypatch)
         assert analysis.vertex_connectivity(c4_free_ring()).kappa == 2
         assert [(s, found, flow, cut) for s, _, _, found, flow, cut in flows] == [
