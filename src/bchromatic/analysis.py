@@ -41,11 +41,11 @@ _BFS_WORD_BUDGET = 2_000_000_000
 
 # split-graph arcs one vertex_connectivity call may charge its flows, each
 # flow the arcs its searches scan, before it raises CeilingExceeded: over
-# 1,100 times the most that a test graph needs (16,788 on a 300-vertex
-# Petersen lift), 230 times the most that a compare_outputs.py graph needs
-# (86,246 on random:4,1000) and 5,800 times the most that a mid-auto graph
-# needs (3,441). The 10**4-vertex lifts of Petersen, PG(2,3) and PG(2,5)
-# charge 977,114, 1,145,533 and 2,317,974
+# 1,800 times the most that a test graph needs (10,776 on a 300-vertex
+# Petersen lift), 390 times the most that a compare_outputs.py graph needs
+# (50,845 on random:4,1000) and 9,300 times the most that a mid-auto graph
+# needs (2,150). The 10**4-vertex lifts of Petersen, PG(2,3) and PG(2,5)
+# charge 620,532, 652,200 and 1,181,229
 _FLOW_ARC_BUDGET = 20_000_000
 
 
@@ -258,12 +258,14 @@ def _min_vertex_cut(
     which maps each vertex on the flow's paths to the one before it:
     v_out -> u_in for every neighbour u, v_out -> v_in and
     v_in -> prev[v]_out when v is on a path, and v_in -> v_out when it is
-    not. A search reaches T, and stops, once it labels v_in of a v in ends
-    on no path. It enters an end on a path only at v_in, and turns back
-    there along the path, so after each augmentation, which updates prev
-    in place, every path still ends at its first end. arcs[0] counts the
-    arcs the searches scan, across calls; past _FLOW_ARC_BUDGET a search
-    raises CeilingExceeded.
+    not. An in-node has that one arc out, so a search follows it as soon as
+    it labels the in-node and queues only out-nodes. It reaches T, and
+    stops, once it labels v_in of a v in ends on no path. It enters an end
+    on a path only at v_in, and turns back there along the path, so after
+    each augmentation, which updates prev in place, every path still ends
+    at its first end. arcs[0] counts, across calls, the arcs the searches
+    scan: the neighbour list of each out-node they expand and the arc that
+    reached it. Past _FLOW_ARC_BUDGET a search raises CeilingExceeded.
 
     Returns (flow, cut, beyond) when the flow is exhausted below cap, else
     (flow, None, []) once flow >= cap (search aborted). The cut is read off
@@ -281,29 +283,22 @@ def _min_vertex_cut(
         queue = [source]
         for x in queue:
             v = x >> 1
-            if not x & 1:
-                y = 2 * prev[v] + 1 if v in prev else x + 1
-                if y not in via:
-                    via[y] = x
-                    queue.append(y)
-                continue
-            arcs[0] += len(adj[v])
-            for y in adj[v]:
+            arcs[0] += len(adj[v]) + 1
+            for y in (*adj[v], v) if v in prev else adj[v]:
                 if 2 * y not in via:
                     via[2 * y] = x
                     if y in ends and y not in prev:
                         break
-                    queue.append(2 * y)
+                    z = 2 * prev[y] + 1 if y in prev else 2 * y + 1
+                    if z not in via:
+                        via[z] = 2 * y
+                        queue.append(z)
             else:
-                if v in prev and x - 1 not in via:
-                    via[x - 1] = x
-                    queue.append(x - 1)
                 continue
             x = 2 * y
             break
         else:
             x = source  # no augmenting path
-        arcs[0] += len(queue)
         if arcs[0] > _FLOW_ARC_BUDGET:
             raise CeilingExceeded(f"vertex connectivity flows passed {_FLOW_ARC_BUDGET} split-graph arcs")
         if x == source:

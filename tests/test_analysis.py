@@ -536,7 +536,7 @@ class TestVertexConnectivity:
         assert (found, prev) == (1, {9: 0, 10: 9, 11: 10})
         arcs = [0]
         flow = analysis._min_vertex_cut(g.adjacency, 0, g.neighbor_sets[14], 3, found, prev, arcs)
-        assert (flow, arcs) == ((2, (9, 11), [12, 13, 14]), [96])
+        assert (flow, arcs) == ((2, (9, 11), [12, 13, 14]), [71])
         assert prev == {2: 0, 4: 2, 6: 4, 11: 6, 9: 0, 12: 9, 13: 12}
         assert oracles._min_vertex_cut(oracles._split_graph(g), 0, 14, 3) == (2, (9, 11))
 
@@ -578,20 +578,20 @@ class TestVertexConnectivity:
 
     def test_flow_budget(self, monkeypatch, capsys):
         """The cube of test_fallback_flow_on_cube runs one flow, for the fan
-        of 1, charged the split-graph arcs its searches scan: 19. A budget
-        of 19 lets it run, 18 raises CeilingExceeded, and analyze then
+        of 1, charged the split-graph arcs its searches scan: 12. A budget
+        of 12 lets it run, 11 raises CeilingExceeded, and analyze then
         exits 2 with the message on stderr."""
         g = gc.Graph.from_edges(8, CUBE_EDGES)
-        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 19)
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 12)
         assert analysis.vertex_connectivity(g).kappa == 3
-        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 18)
-        with pytest.raises(gc.CeilingExceeded, match="passed 18 split-graph arcs"):
+        monkeypatch.setattr(analysis, "_FLOW_ARC_BUDGET", 11)
+        with pytest.raises(gc.CeilingExceeded, match="passed 11 split-graph arcs"):
             analysis.vertex_connectivity(g)
         monkeypatch.setattr("sys.stdin", io.StringIO(gc.serialize_edge_list(g)))
         assert cli.main(["analyze", "--input", "-", "--output", "json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "bchromatic: vertex connectivity flows passed 18 split-graph arcs\n"
+        assert captured.err == "bchromatic: vertex connectivity flows passed 11 split-graph arcs\n"
 
     def test_found_cut_settles_only_sinks_beyond_it(self):
         """From s = 1 the first cut, {3} for the sink 2, leaves 0 and 9 on
