@@ -15,7 +15,9 @@ by three vertices (kappa = 3 < delta = 4), labelled so that Even's check in
 vertex_connectivity fails first at a pair and at a fan (joined_cliques;
 these and the circulant chains are the only graphs here whose analyze runs
 the kappa + 1 sweep), generalized Petersen
-graphs, N graphs random:d,n for each d = 3-5, N rings of three random
+graphs, K_{5,5}, K_{6,6} and K_{7,7} (the only graphs here on which `exact`
+refutes several k exhaustively; every `color` strategy exits 2 on their
+4-cycles, and `analyze` reports one), N graphs random:d,n for each d = 3-5, N rings of three random
 C4-free 4-regular blocks, and random:3,1000 and random:4,1000 (seed 0).
 Each graph's edge-list text is the stdin of `color` with every strategy
 (auto included), of `analyze` with text and JSON output, and of `exact`
@@ -158,6 +160,8 @@ def corpus(count: int) -> dict[str, gc.Graph]:
     graphs["cliques-fan-fails"] = joined_cliques(range(1, 7), range(7, 13))
     graphs |= {f"gp:{n},{k}": gc.generate_generalized_petersen(n, k)
                for n, k in ((7, 2), (8, 3))}
+    graphs |= {f"complete-bipartite:{d}": gc.generate_complete_bipartite(d)
+               for d in (5, 6, 7)}
     for seed in range(count):
         for d, n in RANDOM_SIZES.items():
             graphs[f"random:{d},{n}/{seed}"] = gc.generate_random_c4_free_regular(d, n, seed)

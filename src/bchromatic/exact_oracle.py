@@ -7,14 +7,18 @@ can be taken in ascending vertex order with ascending colors, so witness j
 k-1 after witness j-1: the order of itertools.combinations. With all k
 placed, the other vertices are colored most constrained first (lowest index
 on ties), each in ascending color order. Color sets are int bitmasks, bit c
-for color c. Every witness prefix and every coloring node must pass three
-checks, made in the pass over the uncolored vertices that picks the next:
+for color c. Each assignment ORs its color into the mask `seen` of every
+neighbor, so a vertex's mask holds the colors of its colored neighbors, and
+backtracking restores the masks with the witnesses' counts. Every witness
+prefix and every coloring node must pass three checks, made from those
+masks and the witnesses' own neighborhoods, with no pass over every
+neighborhood:
 
 - count: the colors a witness still misses must not outnumber its uncolored
   neighbors. When they are equal the witness is tight, and each of those
   neighbors must take one of its missing colors.
-- empty domain: every uncolored vertex keeps a legal color, one that no
-  colored neighbor has and that every tight neighboring witness misses.
+- empty domain: every uncolored vertex keeps a legal color, one outside its
+  mask that every tight neighboring witness misses.
 - witness support: every color a witness misses is legal at one or more of
   its uncolored neighbors.
 
@@ -65,7 +69,9 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int, in
     candidates = [v for v in range(n) if g.degree(v) >= k - 1]
     full = (1 << (k + 1)) - 2
     colors = [0] * n
+    seen = [0] * n  # per vertex, the colors of its colored neighbors
     witness_of = [-1] * n
+    witnesses: list[int] = []
     missing: list[int] = []  # per witness, the colors its neighborhood lacks
     uncol: list[int] = []  # per witness, its uncolored neighbors
     explored = placed = 0
@@ -81,34 +87,30 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int, in
     def scan() -> tuple[int, int] | None:
         """The most constrained uncolored vertex and its legal set, (-1, 0)
         when every vertex is colored, or None when a check fails."""
-        tight = [m if m.bit_count() == u else full for m, u in zip(missing, uncol)]
-        support = [0] * len(missing)
-        best_v, best_s, best_size = -1, 0, k + 1
-        for v in range(n):
-            if colors[v]:
-                continue
-            s = full
-            for y in adj[v]:
-                if colors[y]:
-                    s &= ~(1 << colors[y])
-                    if witness_of[y] >= 0:
-                        s &= tight[witness_of[y]]
-            if not s:
+        legal = [0 if c else full & ~s for c, s in zip(colors, seen)]
+        for w, m, u in zip(witnesses, missing, uncol):
+            if m.bit_count() == u:
+                for y in adj[w]:
+                    legal[y] &= m
+        for w, m in zip(witnesses, missing):
+            support = 0
+            for y in adj[w]:
+                support |= legal[y]
+            if m & ~support:
                 return None
-            for y in adj[v]:
-                if witness_of[y] >= 0:
-                    support[witness_of[y]] |= s
-            if s.bit_count() < best_size:
-                best_v, best_s, best_size = v, s, s.bit_count()
-        if any(m & ~s for m, s in zip(missing, support)):
-            return None
-        return best_v, best_s
+        # the empty-domain check: the smallest legal set is not empty
+        size, v = min(
+            ((legal[v].bit_count(), v) for v in range(n) if not colors[v]),
+            default=(1, -1),
+        )
+        return (v, legal[v]) if size else None
 
     def assign(v: int, c: int) -> bool:
         """Color v with c; False when a neighboring witness fails the count."""
         colors[v] = c
         ok = True
         for y in adj[v]:
+            seen[y] |= 1 << c
             i = witness_of[y]
             if i >= 0:
                 missing[i] &= ~(1 << c)
@@ -121,7 +123,7 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int, in
         nonlocal explored
         if v < 0:
             return True
-        saved = missing[:], uncol[:]
+        saved = missing[:], uncol[:], seen[:]
         while legal:
             bit = legal & -legal
             legal ^= bit
@@ -131,32 +133,31 @@ def _search(g: Graph, k: int, budget: int) -> tuple[OracleResult | None, int, in
                 node = scan()
                 if node is not None and color(*node):
                     return True
-            missing[:], uncol[:] = saved
+            missing[:], uncol[:], seen[:] = saved
         colors[v] = 0
         return False
 
     def choose(j: int, start: int) -> bool:
         """Place witness j (color j+1) at a candidate from index start on."""
         nonlocal placed
-        saved = missing[:], uncol[:]
+        saved = missing[:], uncol[:], seen[:]
         for idx in range(start, len(candidates) - k + j + 1):
             w = candidates[idx]
             placed += 1
             spend()
             ok = assign(w, j + 1)
             witness_of[w] = j
-            m = full & ~(1 << (j + 1))
-            for y in adj[w]:
-                m &= ~(1 << colors[y])
-            missing.append(m)
-            uncol.append(sum(1 for y in adj[w] if not colors[y]))
-            if ok and m.bit_count() <= uncol[j]:
+            witnesses.append(w)
+            missing.append(full & ~(1 << (j + 1)) & ~seen[w])
+            uncol.append([colors[y] for y in adj[w]].count(0))
+            if ok and missing[j].bit_count() <= uncol[j]:
                 node = scan()
                 if node is not None and (
                     color(*node) if j + 1 == k else choose(j + 1, idx + 1)
                 ):
                     return True
-            missing[:], uncol[:] = saved
+            missing[:], uncol[:], seen[:] = saved
+            del witnesses[j:]
             colors[w], witness_of[w] = 0, -1
         return False
 

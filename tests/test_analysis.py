@@ -604,12 +604,20 @@ class TestVertexConnectivity:
         assert (cert.kappa, cert.separator, cert.components) == oracles.sweep_vertex_connectivity(g)
 
     def test_flow_count_on_chain(self, monkeypatch):
-        """On a cubic chain (kappa = 2 < d) a found cut settles every sink
-        beyond it: at most 300 flows, where one per non-adjacent pair is
-        1,199."""
-        flows = count_calls(monkeypatch, analysis, "_min_vertex_cut")
+        """On a cubic chain (kappa = 2 < delta = 3) the cuts come off the
+        2-separator listing, so the only flows are the 4 fans of Even's
+        check at k = delta: three reach 3, and the fourth, from vertex 32,
+        finds 2. On a chain of six circulants C12(1, 2, 3) (kappa = 3 <
+        delta = 5) a found cut settles every sink beyond it: the sweep runs
+        60 flows capped at kappa + 1 = 4, where it runs 2,145 with no sink
+        settled."""
+        flows = record_flows(monkeypatch)
         assert analysis.vertex_connectivity(gc.generate_cubic_chain(5)).kappa == 2
-        assert flows[0] <= 300
+        assert [(s, cap, flow) for s, _, cap, _, flow, _ in flows] == [
+            (48, 3, 3), (40, 3, 3), (42, 3, 3), (32, 3, 2)]
+        flows.clear()
+        assert analysis.vertex_connectivity(compare_outputs.chain_of_circulants(6)).kappa == 3
+        assert sum(cap == 4 for _, _, cap, *_ in flows) == 60
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -82,13 +82,21 @@ class TestExactValues:
         assert res.phi == 2 and res.explored == 2 * d - 2
 
     def test_budget_counts_witness_placements(self, monkeypatch):
-        # K_{7,7} needs 12 colour assignments but 765 witness placements,
-        # so a budget of 700 nodes stops it
-        g = gc.generate_complete_bipartite(7)
-        assert eo.exact_b_chromatic(g).explored == 12
-        monkeypatch.setattr(eo, "_SEARCH_NODE_BUDGET", 700)
-        with pytest.raises(gc.CeilingExceeded):
-            eo.exact_b_chromatic(g)
+        # The budget trips exactly past the colour assignments plus witness
+        # placements of the whole downward scan over k, which pins the search
+        # tree, not just phi: K_{d,d} makes 2d - 2 assignments but hundreds of
+        # placements
+        graphs = [(gc.generate_complete_bipartite(d), nodes, 2 * d - 2)
+                  for d, nodes in zip(range(5, 10), (240, 452, 777, 1_248, 1_902))]
+        graphs.append((gc.generate_petersen(), 413, 81))
+        for g, nodes, explored in graphs:
+            monkeypatch.setattr(eo, "_SEARCH_NODE_BUDGET", nodes)
+            assert eo.exact_b_chromatic(g).explored == explored
+            monkeypatch.setattr(eo, "_SEARCH_NODE_BUDGET", nodes - 1)
+            with pytest.raises(gc.CeilingExceeded) as exc:
+                eo.exact_b_chromatic(g)
+            assert str(exc.value) == (f"the search tried more than {nodes - 1}"
+                                      " color assignments and witness placements")
 
     def test_report_is_the_witness_verification(self, petersen):
         res = eo.exact_b_chromatic(petersen)
