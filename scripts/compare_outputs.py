@@ -18,7 +18,9 @@ the kappa + 1 sweep), generalized Petersen
 graphs, K_{5,5}, K_{6,6} and K_{7,7} (the only graphs here on which `exact`
 refutes several k exhaustively; every `color` strategy exits 2 on their
 4-cycles, and `analyze` reports one), N graphs random:d,n for each d = 3-5, N rings of three random
-C4-free 4-regular blocks, and random:3,1000 and random:4,1000 (seed 0).
+C4-free 4-regular blocks, random:3,1000 and random:4,1000 (seed 0), and
+random:6,64 (seed 0: the only graph here of even degree above 4 whose
+lower-bound strategy seeds in triangle mode).
 Each graph's edge-list text is the stdin of `color` with every strategy
 (auto included), of `analyze` with text and JSON output, and of `exact`
 (graphs above its 24-vertex ceiling exit 2 at once), and its DIMACS text is
@@ -170,6 +172,7 @@ def corpus(count: int) -> dict[str, gc.Graph]:
         )
     graphs |= {f"random:{d},1000/0": gc.generate_random_c4_free_regular(d, 1000, 0)
                for d in (3, 4)}
+    graphs["random:6,64/0"] = gc.generate_random_c4_free_regular(6, 64, 0)
     return graphs
 
 

@@ -792,8 +792,8 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
         small_cut_route = 2 * cert.kappa <= d + 1
         if d >= 3:
             found = constructive._first_full_seed(g, d, None)
-            if isinstance(found, tuple):
-                full_seed_center = found[0]
+            if isinstance(found, constructive.ConstructionOutcome):
+                full_seed_center = found.plans[0].center
         certified = d <= 2 or full_seed_center is not None or diameter_route or small_cut_route
         phi_lower = d + 1 if certified else lower_colors
 

@@ -197,6 +197,8 @@ def _run_color(args: argparse.Namespace) -> int:
 
 
 def _run_exact(args: argparse.Namespace) -> int:
+    if args.oracle_ceiling < 0:
+        raise ValueError(f"oracle ceiling must be nonnegative, got {args.oracle_ceiling}")
     g = _load_graph(args)
     # result.report is the oracle's own verification of result.witness
     result = exact_b_chromatic(g, ceiling=args.oracle_ceiling)

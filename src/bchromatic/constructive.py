@@ -7,8 +7,8 @@ ring by ring and placing each ring's missing colors through a perfect
 matching of each ring vertex onto the colors it may take. The full-seed
 strategy makes every neighbor dominating at one center, which reaches all d+1
 colors wherever some center's rings all have matchings; a ring with none
-hands back its Hall violator, which rejects only that center. A color
-relabeling attached to the plan lets two far-apart seedings realize
+hands back its Hall violator, which rejects only that center. A plan names
+the colors its seeding realizes, so two far-apart seedings can realize
 complementary color sets, which is how the diameter and small-cut strategies
 reach all d+1 colors. The lower-bound strategy instead extends greedily and
 squeezes out unrealized colors by color exchange.
@@ -128,46 +128,35 @@ def verify_bcoloring(g: Graph, c: Coloring) -> VerificationReport:
 class SeedPlan:
     """Recipe for one dominating-neighborhood seeding.
 
-    steps counts how many ordered neighbors become dominating alongside the
-    center (0 allowed: the center alone). color_map[i-1] is the final label
-    of canonical color i; canonically the center takes d+1 and the j-th
-    ordered neighbor takes j, so the canonically realized set steps..  is
-    [steps] plus d+1, and the map places it wherever the caller needs it.
+    targets are the colors the seeding realizes: the center and the first
+    len(targets) - 1 ordered neighbors (the steps; none: the center alone)
+    become dominating, and their colors are exactly targets.
     """
 
     center: int
     ordered_neighbors: tuple[int, ...]
-    steps: int
-    color_map: tuple[int, ...]
+    targets: tuple[int, ...]
     triangle_mode: bool = False
 
 
-def identity_color_map(d: int) -> tuple[int, ...]:
-    return tuple(range(1, d + 2))
-
-
-def color_map_realizing(target: tuple[int, ...] | list[int], d: int) -> tuple[int, ...]:
+def color_map_realizing(target: tuple[int, ...], d: int) -> tuple[int, ...]:
     """Bijection on 1..d+1 sending the canonically realized set of a
-    (len(target)-1)-step seeding to exactly `target`.
+    (len(target)-1)-step seeding to exactly `target`; the identity for the
+    targets 1..steps and d+1.
 
-    Canonical color d+1 goes to max(target), canonical 1..steps to the rest
+    Canonically the center takes d+1 and the j-th ordered neighbor j. So
+    canonical color d+1 goes to max(target), canonical 1..steps to the rest
     of target ascending, and the unrealized canonical colors to the
     complement ascending.
     """
     t_sorted = sorted(target)
-    steps = len(t_sorted) - 1
-    if steps < 0 or steps > d:
+    if not 1 <= len(t_sorted) <= d + 1:
         raise ValueError("target must hold between 1 and d+1 colors")
-    if t_sorted and (t_sorted[0] < 1 or t_sorted[-1] > d + 1 or len(set(t_sorted)) != len(t_sorted)):
+    members = set(t_sorted)
+    if t_sorted[0] < 1 or t_sorted[-1] > d + 1 or len(members) != len(t_sorted):
         raise ValueError("target colors must be distinct members of 1..d+1")
-    spare = [c for c in range(1, d + 2) if c not in set(t_sorted)]
-    sigma = [0] * (d + 1)
-    for i in range(steps):
-        sigma[i] = t_sorted[i]
-    sigma[d] = t_sorted[-1]
-    for offset, c in enumerate(spare):
-        sigma[steps + offset] = c
-    return tuple(sigma)
+    spare = [c for c in range(1, d + 2) if c not in members]
+    return (*t_sorted[:-1], *spare, t_sorted[-1])
 
 
 def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
@@ -196,10 +185,10 @@ def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
                 seen.add(x)
     if tuple(sorted(plan.ordered_neighbors)) != g.adjacency[center]:
         raise ValueError("ordered_neighbors is not a permutation of the center's neighborhood")
-    if sorted(plan.color_map) != list(range(1, d + 2)):
-        raise ValueError("color_map is not a bijection on 1..d+1")
+    color_map_realizing(plan.targets, d)  # raises ValueError on bad targets
+    steps = len(plan.targets) - 1
     limit = d // 2 + 1 if plan.triangle_mode else (d + 1) // 2
-    if not 0 <= plan.steps <= limit:
+    if steps > limit:
         raise ValueError(f"steps must lie in 0..{limit}")
     if plan.triangle_mode:
         if d % 2:
@@ -210,8 +199,8 @@ def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
             raise ValueError(
                 "triangle mode requires the first neighbor adjacent to the middle one"
             )
-    elif d % 2 and plan.steps == (d + 1) // 2:
-        pivot = plan.ordered_neighbors[plan.steps - 1]
+    elif d % 2 and steps == (d + 1) // 2:
+        pivot = plan.ordered_neighbors[steps - 1]
         if g.neighbor_sets[pivot] & g.neighbor_sets[center]:
             raise ValueError(
                 "with a full odd-degree seeding the last step neighbor must have "
@@ -223,11 +212,11 @@ def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
 def plan_seed(
     g: Graph,
     center: int,
-    t: int,
-    triangle_mode: bool = False,
-    color_map: tuple[int, ...] | None = None,
+    targets: tuple[int, ...],
+    triangle: tuple[int, int] | None = None,
 ) -> SeedPlan:
-    """Order the center's neighborhood so a t-step seeding is legal.
+    """Order the center's neighborhood so a seeding that realizes the colors
+    `targets`, in len(targets) - 1 steps, is legal.
 
     The caller must pass a gated graph (regular, no 4-cycle). The returned
     plan goes through validate_seed_plan, whose site check (the center's
@@ -235,29 +224,20 @@ def plan_seed(
     the center) is a cheap sanity check, not the full precondition; on an
     ungated graph the planning itself may fail first.
 
-    In triangle mode (even d only) the center must lie in a triangle; the
-    two adjacent neighbors are placed first and middle. For a full odd-d
-    seeding a neighbor with no neighbors inside N(center) is placed last
-    among the step positions; one exists because the induced neighborhood
-    has maximum degree one.
+    A `triangle` pair (even d only) puts the seeding in triangle mode: the
+    two neighbors, which must be adjacent, are placed first and middle. For
+    a full odd-d seeding a neighbor with no neighbors inside N(center) is
+    placed last among the step positions; one exists because the induced
+    neighborhood has maximum degree one.
     """
     d = g.degree(center)
+    t = len(targets) - 1
     neighbors = list(g.adjacency[center])
     nv = g.neighbor_sets[center]
     order: list[int]
-    if triangle_mode:
-        pair = None
-        for a in neighbors:
-            for b in sorted(g.neighbor_sets[a] & nv):
-                if b > a:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise ValueError(f"center {center} does not lie in a triangle")
-        rest = [x for x in neighbors if x not in pair]
-        order = [pair[0]] + rest[: d // 2 - 1] + [pair[1]] + rest[d // 2 - 1:]
+    if triangle is not None:
+        rest = [x for x in neighbors if x not in triangle]
+        order = [triangle[0]] + rest[: d // 2 - 1] + [triangle[1]] + rest[d // 2 - 1:]
     elif d % 2 and t == (d + 1) // 2:
         unmatched = [x for x in neighbors if not (g.neighbor_sets[x] & nv)]
         if not unmatched:
@@ -272,9 +252,8 @@ def plan_seed(
     plan = SeedPlan(
         center=center,
         ordered_neighbors=tuple(order),
-        steps=t,
-        color_map=color_map if color_map is not None else identity_color_map(d),
-        triangle_mode=triangle_mode,
+        targets=targets,
+        triangle_mode=triangle is not None,
     )
     validate_seed_plan(g, plan)
     return plan
@@ -302,7 +281,6 @@ class ReductionPassRecord:
 class ConstructionTrace:
     """Mutable log of a construction run."""
 
-    centers: list[int] = field(default_factory=list)
     seed_steps: list[SeedStepRecord] = field(default_factory=list)
     reduction_passes: list[ReductionPassRecord] = field(default_factory=list)
 
@@ -311,16 +289,18 @@ def seed_dominating_neighborhood(
     g: Graph, plan: SeedPlan, trace: ConstructionTrace | None = None
 ) -> PartialColoring | HallViolator:
     """Color the center, its neighborhood, and the step rings so the center
-    and the first `steps` ordered neighbors all see every color of 1..d+1 on
-    their closed neighborhoods; the one seeding of every route.
+    and the first `steps` = len(plan.targets) - 1 ordered neighbors all see
+    every color of 1..d+1 on their closed neighborhoods; the one seeding of
+    every route.
 
     Works canonically: the center takes d+1, the j-th ordered neighbor j, and
     for i = 1..steps the ring of the i-th neighbor v_i (its neighbors outside
     the center's closed neighborhood) is matched onto the colors v_i does not
-    yet see. Then the plan's color_map relabels the result. Returns the Hall
-    violator of the first ring that has no matching instead. Once every ring
-    has matched, the center and one record per ring go to the trace; without
-    a trace no record is built.
+    yet see. Then color_map_realizing relabels the result so that the
+    dominating vertices take the plan's targets. Returns the Hall violator
+    of the first ring that has no matching instead. Once every ring has
+    matched, one record per ring goes to the trace; without a trace no
+    record is built.
 
     The counting guarantees are asserted at runtime. A seeding of at most
     d // 2 + 1 steps, the most validate_seed_plan accepts, also asserts the
@@ -331,13 +311,14 @@ def seed_dominating_neighborhood(
     greedy_extend, which every route calls next, validates its input.
     """
     d = len(plan.ordered_neighbors)
+    steps = len(plan.targets) - 1
     center = plan.center
     nv = g.neighbor_sets[center]
     colors = {center: d + 1}
     for idx, u in enumerate(plan.ordered_neighbors):
         colors[u] = idx + 1
     records = []
-    for i in range(1, plan.steps + 1):
+    for i in range(1, steps + 1):
         vi = plan.ordered_neighbors[i - 1]
         inside = sorted(g.neighbor_sets[vi] & nv)
         if len(inside) > 1:
@@ -361,7 +342,7 @@ def seed_dominating_neighborhood(
         for x in ring:
             present = {colors.get(y) for y in g.adjacency[x]}
             options[x] = [c for c in needed if c not in present]
-        if ring and plan.steps <= d // 2 + 1:
+        if ring and steps <= d // 2 + 1:
             takers = Counter(c for available in options.values() for c in available)
             worst = min(min(map(len, options.values())), min(takers[c] for c in needed))
             if 2 * worst < len(ring):
@@ -377,11 +358,10 @@ def seed_dominating_neighborhood(
             placed = tuple(sorted(matched.items()))
             records.append(SeedStepRecord(center, i, vi, tuple(ring), tuple(needed), placed))
     if trace is not None:
-        trace.centers.append(center)
         trace.seed_steps.extend(records)
 
     full = set(range(1, d + 2))
-    for w in (center, *plan.ordered_neighbors[: plan.steps]):
+    for w in (center, *plan.ordered_neighbors[:steps]):
         closed = {colors[w]} | {colors.get(y) for y in g.adjacency[w]}
         if closed != full:
             raise ConstructionInvariantError(
@@ -389,9 +369,10 @@ def seed_dominating_neighborhood(
                 f"instead of all of 1..{d + 1} on its closed neighborhood"
             )
 
+    sigma = color_map_realizing(plan.targets, d)
     mapped: list[int | None] = [None] * g.vertex_count
     for v, c in colors.items():
-        mapped[v] = plan.color_map[c - 1]
+        mapped[v] = sigma[c - 1]
     return PartialColoring(d + 1, tuple(mapped))
 
 
@@ -404,12 +385,6 @@ def _bounded_seed(g: Graph, plan: SeedPlan, trace: ConstructionTrace | None) -> 
             f"{len(partial.left_subset)} can take {len(partial.neighborhood)} colors"
         )
     return partial
-
-
-def realized_targets(plan: SeedPlan, d: int) -> tuple[int, ...]:
-    """The final color labels the plan's seeding realizes."""
-    canonical = list(range(1, plan.steps + 1)) + [d + 1]
-    return tuple(sorted(plan.color_map[c - 1] for c in canonical))
 
 
 # ----------------------------------------------------------------------------
@@ -602,11 +577,11 @@ def construct_lower_bound_bcoloring(
     if d <= 2:
         # d+1 colors, never fewer than the bound below
         return _small_case(g, d)
-    triangle_mode = d % 2 == 0 and tri is not None
-    if triangle_mode:
-        assert tri is not None
-        center = tri[0]
-        t = d // 2 + 1
+    triangle: tuple[int, int] | None = None
+    if d % 2 == 0 and tri is not None:
+        # tri[1:] is the first adjacent pair of N(tri[0]), the pair the plan
+        # puts first and middle
+        center, triangle, t = tri[0], tri[1:], d // 2 + 1
     else:
         def inside_edges(v: int) -> int:
             ns = g.neighbor_sets[v]
@@ -617,14 +592,13 @@ def construct_lower_bound_bcoloring(
             range(g.vertex_count), key=lambda v: (inside_edges(v), v)
         )
         t = (d + 1) // 2
-    plan = plan_seed(g, center, t, triangle_mode)
+    plan = plan_seed(g, center, (*range(1, t + 1), d + 1), triangle)
     partial = _bounded_seed(g, plan, trace)
     total = greedy_extend(g, partial, sources=(center,))
     reduced, report = reduce_unrealized(g, total, trace=trace)
-    kept = realized_targets(plan, d)
-    if any(report.realized.get(c) is None for c in kept):
+    if any(report.realized.get(c) is None for c in plan.targets):
         raise ConstructionInvariantError(
-            f"reduction lost a seeded color: kept {kept}, report {report.realized}"
+            f"reduction lost a seeded color: kept {plan.targets}, report {report.realized}"
         )
     promised = (d + 4) // 2 if tri else (d + 3) // 2
     return _certify(g, "lower-bound", promised, reduced, (plan,), report)
@@ -676,11 +650,10 @@ def construct_diameter_bcoloring(
         return _small_case(g, d)
     assert witness is not None
     v, w = witness
-    low = list(range(1, (d + 3) // 2 + 1))
-    high = [c for c in range(1, d + 2) if c not in low]
-    plan_v = plan_seed(g, v, (d + 1) // 2, color_map=color_map_realizing(low, d))
-    plan_w = plan_seed(g, w, len(high) - 1, color_map=color_map_realizing(high, d))
-    return _two_center_finish(g, d, "diameter", (plan_v, plan_w), trace)
+    low = tuple(range(1, (d + 3) // 2 + 1))
+    high = tuple(range(len(low) + 1, d + 2))
+    plans = (plan_seed(g, v, low), plan_seed(g, w, high))
+    return _two_center_finish(g, d, "diameter", plans, trace)
 
 
 def construct_connectivity_bcoloring(
@@ -717,8 +690,8 @@ def construct_connectivity_bcoloring(
         )
     separator = set(cert.separator)
     sides = (cert.components[0], cert.components[1])
-    low = list(range(1, d // 2 + 2))
-    high = [c for c in range(1, d + 2) if c not in low]
+    low = tuple(range(1, d // 2 + 2))
+    high = tuple(range(len(low) + 1, d + 2))
 
     plans = []
     for side, colors in zip(sides, (low, high)):
@@ -741,8 +714,7 @@ def construct_connectivity_bcoloring(
         plan = SeedPlan(
             center=anchor,
             ordered_neighbors=tuple(xs + rest),
-            steps=steps,
-            color_map=color_map_realizing(colors, d),
+            targets=colors,
         )
         if not set(g.adjacency[anchor]) <= set(side):
             raise ConstructionInvariantError(
@@ -758,22 +730,22 @@ def _full_seed_at(
 ) -> ConstructionOutcome | HallViolator:
     # the full seeding at one center, extended and verified, or the Hall
     # violator of the ring that rejects this center
-    plan = SeedPlan(center, g.adjacency[center], d, identity_color_map(d))
+    plan = SeedPlan(center, g.adjacency[center], tuple(range(1, d + 2)))
     partial = seed_dominating_neighborhood(g, plan, trace)
     if isinstance(partial, HallViolator):
         return partial
-    return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)))
+    return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)), (plan,))
 
 
 def _first_full_seed(
     g: Graph, d: int, trace: ConstructionTrace | None
-) -> tuple[int, ConstructionOutcome] | HallViolator:
-    # the first center whose full seeding verifies, with its outcome, or the
+) -> ConstructionOutcome | HallViolator:
+    # the outcome of the first center whose full seeding verifies, or the
     # Hall violator that rejects the last center; g is gated and d >= 3
     for center in range(g.vertex_count):
         found = _full_seed_at(g, d, center, trace)
         if isinstance(found, ConstructionOutcome):
-            return center, found
+            return found
     return found
 
 
@@ -804,8 +776,8 @@ def construct_full_seed_bcoloring(
     if d <= 2:
         return _small_case(g, d)
     found = _first_full_seed(g, d, trace)
-    if isinstance(found, tuple):
-        return found[1]
+    if isinstance(found, ConstructionOutcome):
+        return found
     raise HypothesisRejection(
         f"no center's rings all have color matchings: {g.vertex_count} centers tried, "
         f"the last ring's Hall violator of size {len(found.left_subset)} can take "

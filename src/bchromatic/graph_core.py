@@ -204,12 +204,13 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(idx, f"problem line must be 'p edge n m', got {raw!r}")
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(idx, "problem line counts must be integers") from None
             if n < 0:
                 raise ParseError(idx, "vertex count must be nonnegative")
+            if m < 0:
+                raise ParseError(idx, "edge count must be nonnegative")
             if n > PARSE_VERTEX_CEILING:
                 raise ParseError(idx, f"{n} vertices exceed the parser ceiling of {PARSE_VERTEX_CEILING}")
         elif parts[0] == "e":

@@ -70,6 +70,15 @@ def brute_triangle(g: Graph) -> tuple[int, int, int] | None:
     return None
 
 
+def brute_adjacent_neighbor_pair(g: Graph, v: int) -> tuple[int, int] | None:
+    """The lexicographically first pair b < c of adjacent neighbours of v,
+    over all pairs of N(v)."""
+    for b, c in itertools.combinations(sorted(g.adjacency[v]), 2):
+        if c in g.adjacency[b]:
+            return (b, c)
+    return None
+
+
 def brute_girth(g: Graph) -> float:
     """Shortest cycle by per-edge removal: girth = 1 + dist(u, v) in G - uv."""
     best = math.inf

@@ -89,7 +89,7 @@ def test_criterion_04_triangle_mode_trace():
         assert len(rec.ring) == len(rec.needed_colors) == len(rec.placed)
     rep = con.verify_bcoloring(g, out.coloring)
     assert rep.is_b_coloring and len(rep.used_colors) >= 4
-    for color in con.realized_targets(plan, d):
+    for color in plan.targets:
         assert rep.realized[color] is not None
     _finish(4, t0, 60.0)
 

@@ -198,6 +198,16 @@ class TestRegularityAndSmallPatterns:
         g = random_density_graph(data)
         assert analysis.find_triangle(g) == oracles.brute_triangle(g)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_triangle_pair_is_the_first_adjacent_pair_of_its_vertex(self, data):
+        # the lower-bound route's triangle plan at a = tri[0] puts tri[1:]
+        # first and middle: the first adjacent pair of N(a), ascending
+        g = random_density_graph(data)
+        tri = analysis.find_triangle(g)
+        if tri is not None:
+            assert tri[1:] == oracles.brute_adjacent_neighbor_pair(g, tri[0])
+
     def test_find_four_cycle(self):
         g = gc.generate_complete_bipartite(2)
         cyc = analysis.find_four_cycle(g)

@@ -167,6 +167,13 @@ class TestAnalyze:
         )
         assert code == 1 and "ceiling" in err
 
+    def test_negative_dimacs_edge_count_exits_one(self, monkeypatch, capsys):
+        code, out, err = run_cli(
+            monkeypatch, capsys, ["analyze", "--input", "-", "--format", "dimacs"],
+            "p edge 3 -5\ne 1 2\n",
+        )
+        assert code == 1 and out == "" and "edge count must be nonnegative" in err
+
     def test_missing_file_exits_one(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["analyze", "--input", "/no/such/file"])
         assert code == 1
@@ -261,6 +268,14 @@ class TestExact:
     def test_ceiling_exits_two(self, monkeypatch, capsys, chain_file):
         code, _, err = run_cli(monkeypatch, capsys, ["exact", "--input", chain_file])
         assert code == 2 and "ceiling" in err
+
+    def test_negative_ceiling_exits_one(self, monkeypatch, capsys, petersen_file):
+        searched = []
+        monkeypatch.setattr(cli, "exact_b_chromatic", lambda *args, **kw: searched.append(args))
+        argv = ["exact", "--input", petersen_file, "--oracle-ceiling", "-1"]
+        code, out, err = run_cli(monkeypatch, capsys, argv)
+        assert code == 1 and out == "" and searched == []
+        assert "oracle ceiling must be nonnegative, got -1" in err
 
     def test_ceiling_can_be_raised(self, monkeypatch, capsys, chain_file):
         code, out, _ = run_cli(

@@ -54,9 +54,19 @@ class TestVerification:
             con.validate_partial_coloring(g, con.PartialColoring(2, (3, None, None, None)))
 
 
+def canonical(t, d):
+    """The colors a t-step seeding realizes before any relabeling: the steps'
+    1..t and the center's d+1."""
+    return (*range(1, t + 1), d + 1)
+
+
 class TestColorMaps:
-    def test_identity(self):
-        assert con.identity_color_map(3) == (1, 2, 3, 4)
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_canonical_targets_map_to_the_identity(self, d):
+        # so a route that seeds the canonical colors (the lower bound, and the
+        # full seed at t = d) colors exactly as before any relabeling
+        for t in range(d + 1):
+            assert con.color_map_realizing(canonical(t, d), d) == tuple(range(1, d + 2))
 
     @pytest.mark.parametrize("target,d", [
         ((1, 2, 3), 3), ((4,), 3), ((2, 4), 3), ((1, 2, 3, 4), 3),
@@ -76,17 +86,19 @@ class TestColorMaps:
             con.color_map_realizing((1, 1), 3)
         with pytest.raises(ValueError):
             con.color_map_realizing((5,), 3)
+        with pytest.raises(ValueError):
+            con.color_map_realizing((), 3)
 
 
 class TestSeedPlans:
     def test_plan_seed_orders_neighbors(self, petersen):
-        plan = con.plan_seed(petersen, 0, 2)
-        assert plan.center == 0 and plan.steps == 2
+        plan = con.plan_seed(petersen, 0, canonical(2, 3))
+        assert plan.center == 0 and plan.targets == (1, 2, 4)
         assert sorted(plan.ordered_neighbors) == list(petersen.adjacency[0])
         assert con.validate_seed_plan(petersen, plan) == 3
 
     def test_odd_degree_full_seeding_picks_free_pivot(self, petersen):
-        plan = con.plan_seed(petersen, 0, 2)
+        plan = con.plan_seed(petersen, 0, canonical(2, 3))
         pivot = plan.ordered_neighbors[1]
         assert not (petersen.neighbor_sets[pivot] & petersen.neighbor_sets[0])
 
@@ -94,53 +106,46 @@ class TestSeedPlans:
         g = gc.generate_random_c4_free_regular(4, 20, 0)
         tri = analysis.find_triangle(g)
         assert tri is not None
-        plan = con.plan_seed(g, tri[0], 3, triangle_mode=True)
-        a, b = plan.ordered_neighbors[0], plan.ordered_neighbors[2]
-        assert g.has_edge(a, b)
+        plan = con.plan_seed(g, tri[0], canonical(3, 4), tri[1:])
+        assert plan.triangle_mode
+        assert (plan.ordered_neighbors[0], plan.ordered_neighbors[2]) == tri[1:]
 
     def test_triangle_mode_needs_even_degree(self, petersen):
-        with pytest.raises(ValueError):
-            con.plan_seed(petersen, 0, 2, triangle_mode=True)
+        with pytest.raises(ValueError, match="even degree"):
+            con.plan_seed(petersen, 0, canonical(2, 3), petersen.adjacency[0][:2])
 
-    def test_triangle_mode_needs_a_triangle(self, petersen):
-        g = gc.generate_random_c4_free_regular(4, 24, 3)
-        center = 0
-        if analysis.find_triangle(g) is not None:
-            # pick a center outside every triangle if one exists
-            in_tri = set()
-            for v in range(g.vertex_count):
-                for u in g.adjacency[v]:
-                    if g.neighbor_sets[v] & g.neighbor_sets[u]:
-                        in_tri.add(v)
-            free = [v for v in range(g.vertex_count) if v not in in_tri]
-            if not free:
-                pytest.skip("every vertex lies in a triangle for this seed")
-            center = free[0]
-        with pytest.raises(ValueError):
-            con.plan_seed(g, center, 3, triangle_mode=True)
+    def test_triangle_mode_needs_a_triangle(self):
+        # two neighbors of the center that are not adjacent close no triangle
+        g = gc.generate_random_c4_free_regular(4, 20, 0)
+        pair = next(
+            pair for pair in itertools.combinations(g.adjacency[0], 2) if not g.has_edge(*pair)
+        )
+        with pytest.raises(ValueError, match="adjacent to the middle one"):
+            con.plan_seed(g, 0, canonical(3, 4), pair)
 
     def test_rejects_irregular_and_c4(self):
         with pytest.raises(ValueError):
-            con.plan_seed(gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 0, 1)
+            con.plan_seed(gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 0, canonical(1, 3))
         with pytest.raises(ValueError):
-            con.plan_seed(gc.generate_complete_bipartite(3), 0, 1)
+            con.plan_seed(gc.generate_complete_bipartite(3), 0, canonical(1, 3))
 
     def test_validate_rejects_bad_plans(self, petersen):
-        good = con.plan_seed(petersen, 0, 2)
-        bad_neighbors = con.SeedPlan(0, (1, 2, 3), 2, good.color_map)
-        with pytest.raises(ValueError):
+        good = con.plan_seed(petersen, 0, canonical(2, 3))
+        bad_neighbors = con.SeedPlan(0, (1, 2, 3), good.targets)
+        with pytest.raises(ValueError, match="permutation"):
             con.validate_seed_plan(petersen, bad_neighbors)
-        bad_map = con.SeedPlan(0, good.ordered_neighbors, 2, (1, 1, 2, 3))
-        with pytest.raises(ValueError):
-            con.validate_seed_plan(petersen, bad_map)
-        bad_steps = con.SeedPlan(0, good.ordered_neighbors, 3, good.color_map)
-        with pytest.raises(ValueError):
+        for targets in ((1, 1, 4), (0, 1, 4), (1, 2, 5), ()):
+            bad_targets = con.SeedPlan(0, good.ordered_neighbors, targets)
+            with pytest.raises(ValueError, match="target"):
+                con.validate_seed_plan(petersen, bad_targets)
+        bad_steps = con.SeedPlan(0, good.ordered_neighbors, (1, 2, 3, 4))
+        with pytest.raises(ValueError, match="steps must lie in 0..2"):
             con.validate_seed_plan(petersen, bad_steps)
 
 
 class TestSeeding:
     def test_petersen_seeding_dominates(self, petersen):
-        plan = con.plan_seed(petersen, 0, 2)
+        plan = con.plan_seed(petersen, 0, canonical(2, 3))
         partial = con.seed_dominating_neighborhood(petersen, plan)
         con.validate_partial_coloring(petersen, partial)
         full = set(range(1, 5))
@@ -151,14 +156,15 @@ class TestSeeding:
             assert seen == full
 
     def test_seeding_respects_color_map(self, petersen):
-        sigma = con.color_map_realizing((2, 3, 4), 3)
-        plan = con.plan_seed(petersen, 0, 2, color_map=sigma)
+        plan = con.plan_seed(petersen, 0, (2, 3, 4))
         partial = con.seed_dominating_neighborhood(petersen, plan)
         assert partial.assignment[0] == 4  # center canonical d+1 -> max target
+        dominating = (0, *plan.ordered_neighbors[:2])
+        assert sorted(partial.assignment[w] for w in dominating) == [2, 3, 4]
 
     def test_seeding_on_graph_with_c4_fails_loudly(self):
         g = gc.generate_complete_bipartite(3)
-        plan = con.SeedPlan(0, g.adjacency[0], 2, con.identity_color_map(3))
+        plan = con.SeedPlan(0, g.adjacency[0], canonical(2, 3))
         with pytest.raises((con.ConstructionInvariantError, ValueError)):
             con.seed_dominating_neighborhood(g, plan)
 
@@ -176,7 +182,7 @@ class TestSeeding:
     ], ids=["two-inside", "ring-size", "overlap"])
     def test_ring_checks_on_ungated_graphs(self, n, edges, steps, message):
         g = gc.Graph.from_edges(n, edges)
-        plan = con.SeedPlan(0, g.adjacency[0], steps, con.identity_color_map(3))
+        plan = con.SeedPlan(0, g.adjacency[0], canonical(steps, 3))
         with pytest.raises(con.ConstructionInvariantError, match=message):
             con.seed_dominating_neighborhood(g, plan)
 
@@ -191,7 +197,7 @@ class TestSeeding:
             (4, 14), (4, 15), (5, 6), (5, 7), (5, 10), (6, 7), (6, 14), (7, 12),
             (8, 9), (8, 11), (8, 15), (9, 12), (9, 13), (10, 11), (10, 13), (12, 14),
         ])
-        plan = con.plan_seed(g, 0, 2)
+        plan = con.plan_seed(g, 0, canonical(2, 4))
         with pytest.raises(con.ConstructionInvariantError, match="below half"):
             con.seed_dominating_neighborhood(g, plan)
         assert plan.ordered_neighbors == g.adjacency[0]
@@ -199,7 +205,7 @@ class TestSeeding:
 
     def test_trace_records_steps(self, petersen):
         trace = con.ConstructionTrace()
-        plan = con.plan_seed(petersen, 0, 2)
+        plan = con.plan_seed(petersen, 0, canonical(2, 3))
         con.seed_dominating_neighborhood(petersen, plan, trace=trace)
         assert len(trace.seed_steps) == 2
         for rec in trace.seed_steps:
@@ -208,7 +214,7 @@ class TestSeeding:
 
 class TestGreedyExtend:
     def test_extends_to_proper_total(self, petersen):
-        plan = con.plan_seed(petersen, 0, 2)
+        plan = con.plan_seed(petersen, 0, canonical(2, 3))
         partial = con.seed_dominating_neighborhood(petersen, plan)
         total = con.greedy_extend(petersen, partial, sources=(0,))
         rep = con.verify_bcoloring(petersen, total)
@@ -307,6 +313,10 @@ class TestLowerBoundStrategy:
         out = con.construct_lower_bound_bcoloring(g, trace=trace)
         assert out.plans[0].triangle_mode and out.guaranteed_colors == 4
         assert len(trace.seed_steps) == 3
+        # first and middle, ascending: the first adjacent pair of N(center)
+        plan = out.plans[0]
+        pair = (plan.ordered_neighbors[0], plan.ordered_neighbors[2])
+        assert pair == oracles.brute_adjacent_neighbor_pair(g, plan.center)
         assert_outcome_ok(g, out, min_colors=4)
 
     def test_small_cases(self):
@@ -371,12 +381,15 @@ class TestFullSeedStrategy:
             assert isinstance(out, con.ConstructionOutcome), center
             assert_outcome_ok(g, out, exact_colors=d + 1)
 
-    def test_trace_holds_the_center_and_no_plan(self):
+    def test_plan_holds_the_center(self):
         g = gc.generate_cubic_chain(3)
         trace = con.ConstructionTrace()
         out = con.construct_full_seed_bcoloring(g, trace=trace)
-        assert out.strategy == "full-seed" and out.plans == () and out.guaranteed_colors == 4
-        assert trace.centers == [0] and len(trace.seed_steps) == 3
+        assert out.strategy == "full-seed" and out.guaranteed_colors == 4
+        (plan,) = out.plans
+        assert plan.center == 0 and plan.targets == (1, 2, 3, 4)
+        assert plan.ordered_neighbors == g.adjacency[0] and not plan.triangle_mode
+        assert len(trace.seed_steps) == 3
         assert [rec.step_vertex for rec in trace.seed_steps] == list(g.adjacency[0])
         assert_outcome_ok(g, out, exact_colors=4)
 
@@ -384,7 +397,9 @@ class TestFullSeedStrategy:
         g = gc.disjoint_union(petersen, heawood)
         trace = con.ConstructionTrace()
         out = con.construct_full_seed_bcoloring(g, trace=trace)
-        assert trace.centers == [10]
+        assert [plan.center for plan in out.plans] == [10]
+        # a rejected center leaves no record
+        assert {rec.center for rec in trace.seed_steps} == {10}
         assert_outcome_ok(g, out, exact_colors=4)
 
     def test_small_cases(self):
@@ -469,7 +484,7 @@ class TestDiameterStrategy:
         out = con.construct_diameter_bcoloring(g)
         covered = set()
         for plan in out.plans:
-            covered |= set(con.realized_targets(plan, 3))
+            covered |= set(plan.targets)
         assert covered == {1, 2, 3, 4}
 
     def test_disconnected_passes_gate(self, heawood):
@@ -517,7 +532,7 @@ class TestConnectivityStrategy:
         out = con.construct_connectivity_bcoloring(g)
         assert out.strategy == "connectivity"
         assert_outcome_ok(g, out, exact_colors=5)
-        assert [con.realized_targets(p, 4) for p in out.plans] == [(1, 2, 3), (4, 5)]
+        assert [p.targets for p in out.plans] == [(1, 2, 3), (4, 5)]
 
     def test_degree_at_most_two_small_case(self):
         triangles = gc.disjoint_union(gc.generate_cycle(3), gc.generate_cycle(3))
@@ -535,8 +550,8 @@ class TestConnectivityStrategy:
 
 
 class TestCertification:
-    """Each seed plan is validated once, each route's final coloring is
-    verified once, and two seedings merge only when they are apart."""
+    """Each bounded seed plan is validated once, each route's final coloring
+    is verified once, and two seedings merge only when they are apart."""
 
     ROUTES = [
         ("lower-bound", con.construct_lower_bound_bcoloring, gc.generate_petersen),
@@ -570,7 +585,10 @@ class TestCertification:
         monkeypatch.setattr(con, "verify_bcoloring", count_verify)
         out = route(g)
         assert out.strategy == strategy
-        assert Counter(validated) == Counter(out.plans)
+        # the full seed's d steps are past validate_seed_plan's limit: its
+        # seeding checks its own rings and closed neighborhoods instead
+        bounded = () if strategy == "full-seed" else out.plans
+        assert Counter(validated) == Counter(bounded)
         assert verified.count(out.coloring) == 1
         assert_outcome_ok(g, out, min_colors=out.guaranteed_colors)
 
@@ -580,7 +598,7 @@ class TestCertification:
         # which share a vertex or an edge when the centers are this close
         g = gc.generate_cubic_chain(3)
         far = analysis._bfs_distances(g, 0).index(distance)
-        plans = (con.plan_seed(g, 0, 0), con.plan_seed(g, far, 0))
+        plans = (con.plan_seed(g, 0, (4,)), con.plan_seed(g, far, (4,)))
         with pytest.raises(con.ConstructionInvariantError, match="second seeding"):
             con._two_center_finish(g, 3, "diameter", plans, None)
 
@@ -598,10 +616,10 @@ class TestTrace:
         trace = con.ConstructionTrace()
         out = route(g, trace=trace)
         assert len(out.plans) == 2
-        assert trace.centers == [plan.center for plan in out.plans]
-        assert len(trace.seed_steps) == sum(plan.steps for plan in out.plans)
+        steps = [len(plan.targets) - 1 for plan in out.plans]
+        assert len(trace.seed_steps) == sum(steps)
         assert [rec.center for rec in trace.seed_steps] == [
-            plan.center for plan in out.plans for _ in range(plan.steps)
+            plan.center for plan, count in zip(out.plans, steps) for _ in range(count)
         ]
 
     def test_no_record_without_a_trace(self, monkeypatch, petersen):

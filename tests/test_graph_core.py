@@ -108,6 +108,14 @@ class TestDimacsFormat:
         with pytest.raises(gc.ParseError):
             gc.parse_dimacs("p edge 2 1\ne 0 1\n")  # vertices are 1-based
 
+    @pytest.mark.parametrize("text, message", [
+        ("p edge -3 0\n", "vertex count must be nonnegative"),
+        ("p edge 3 -5\ne 1 2\n", "edge count must be nonnegative"),
+    ])
+    def test_negative_counts(self, text, message):
+        with pytest.raises(gc.ParseError, match=f"line 1.*{message}"):
+            gc.parse_dimacs(text)
+
     def test_vertex_ceiling(self, monkeypatch):
         with pytest.raises(gc.ParseError, match="line 2.*ceiling"):
             gc.parse_dimacs("c huge\np edge 1000000000 0\n")
