@@ -27,9 +27,12 @@ Each graph's edge-list text is the stdin of `color` with every strategy
 the stdin of `analyze --format dimacs --output json`. Each text of
 EDGE_LIST_TEXTS, one per fault the edge-list parser reports and three odd
 but valid layouts, is the stdin of `analyze --output json` and of auto
-`color`, so that the exit code and the message on stderr are compared too.
-`generate --input random:d,n --seed s` runs
-for the same N seeds at each size of RANDOM_SIZES and at random:3,2000.
+`color`, so that the exit code and the message on stderr are compared too;
+each text of DIMACS_TEXTS, one per fault `parse_dimacs` reports and three
+odd but valid layouts, is the stdin of `analyze --format dimacs --output
+json`. `generate --input random:d,n --seed s` runs for the same N seeds at
+each size of RANDOM_SIZES, at random:3,2000 and at the near-floor sizes
+random:5,32 and random:6,64, where the swap descent does most of its work.
 
 Each tree runs all the cases in one child interpreter, started with the
 tree's `src` first on the path. The child calls `bchromatic.cli.main(argv)`
@@ -97,6 +100,28 @@ EDGE_LIST_TEXTS = {
     "tabs-crlf": "5 5\r\n0\t1\r\n1\t2\r\n 2 3\r\n3\t\t4 \r\n4 0\r\n\r\n",
     "repeated-edge": "5 6\n0 1\n1 2\n2 3\n3 4\n4 0\n1 2\n",
     "reversed-edge": "5 6\n0 1\n1 2\n2 3\n3 4\n4 0\n1 0\n",
+}
+
+# DIMACS texts that parse_dimacs rejects, one per check it makes, and three
+# that it accepts: comments, blank lines and CRLF endings, a declared edge
+# count the edge lines do not match, and a repeated edge
+DIMACS_TEXTS = {
+    "no-problem-line": "c only a comment\n",
+    "duplicate-problem-line": "p edge 2 1\np edge 2 1\ne 1 2\n",
+    "problem-format": "p col 3 2\ne 1 2\ne 2 3\n",
+    "problem-integers": "p edge 3 two\ne 1 2\n",
+    "vertex-count-negative": "p edge -3 0\n",
+    "edge-count-negative": "p edge 3 -5\ne 1 2\n",
+    "vertex-ceiling": "p edge 1000001 0\n",
+    "edge-before-problem": "e 1 2\np edge 2 1\n",
+    "edge-fields": "p edge 3 2\ne 1 2\ne 2\n",
+    "edge-integers": "p edge 3 2\ne 1 2\ne 2 x\n",
+    "out-of-range": "p edge 3 2\ne 1 2\ne 0 1\n",
+    "self-loop": "p edge 3 2\ne 1 2\ne 3 3\n",
+    "line-type": "p edge 3 2\ne 1 2\nq 2 3\n",
+    "comments-crlf": "c a 5-cycle\r\n\r\np edge 5 5\r\ne 1 2\r\n  e 2 3\r\nc\r\ne\t3 4\r\ne 4 5\r\ne 5 1\r\n",
+    "edge-count-mismatch": "p edge 5 9\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n",
+    "repeated-edge": "p edge 5 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\ne 2 1\n",
 }
 
 
@@ -250,9 +275,14 @@ def main() -> int:
         for argv in (["analyze", "--output", "json"], ["color", "--strategy", "auto"])
     ]
     cases += [
+        (f"dimacs:{name}", ["analyze", "--format", "dimacs", "--output", "json", "--input", "-"],
+         text)
+        for name, text in DIMACS_TEXTS.items()
+    ]
+    cases += [
         (f"random:{d},{n}/{seed}",
          ["generate", "--input", f"random:{d},{n}", "--seed", str(seed)], "")
-        for d, n in [*RANDOM_SIZES.items(), (3, 2000)]
+        for d, n in [*RANDOM_SIZES.items(), (3, 2000), (5, 32), (6, 64)]
         for seed in range(args.count)
     ]
 

@@ -391,9 +391,10 @@ class _SwapState:
     only the adjacency sets and the two edge-list slots it is given. `count`
     builds, once, the edge index (slot of each edge), the sparse counts of
     `_common_counts`, the pairs with c ≥ 2 and the score Σ C(c, 2) over them
-    (a pair with c = 1 adds 0; zero iff C4-free); `try_swap` scores each
-    proposal from the counts and updates them and the index only when it
-    accepts."""
+    (a pair with c = 1 adds 0; zero iff C4-free); `try_swap` prices each
+    proposal from the counts with `price`, which most proposals leave after
+    a few of their gained 2-paths, and updates the counts and the index only
+    when it accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
@@ -453,23 +454,50 @@ class _SwapState:
                     changes[key] = get(key, 0) + 1
         return changes
 
-    def score_change(self, changes: dict[int, int]) -> int:
-        # C(c + δ, 2) - C(c, 2) = δ·c + C(δ, 2) for each changed pair
-        get = self.counts.get
+    def price(self, a: int, b: int, c: int, d: int, limit: int) -> int | None:
+        """Change of the score under the legal switch (a,b),(c,d) -> (a,c),(b,d),
+        or None once it is sure to exceed limit. The 2-paths of `pair_changes`
+        are priced one at a time against the counts so far, which `seen`
+        holds for the keys already met: a loss lowers the score by the pair's
+        count after it, a gain raises it by the count before it. The losses
+        come first; from then on the total only grows, so the first gain
+        that takes it past limit settles it. At minimum degree 2 each of the
+        four ends keeps a neighbour, so some 2-path is gained, and a total
+        already past limit after the losses is caught at the first gain."""
+        n, adj, counts = self.n, self.adj, self.counts
+        get = counts.get
+        seen: dict[int, int] = {}
+        moved = seen.get
         total = 0
-        for key, dv in changes.items():
-            total += dv * get(key, 0) + dv * (dv - 1) // 2
+        ends = ((a, b, c), (b, a, d), (c, d, a), (d, c, b))
+        for x, old, _ in ends:
+            for w in adj[x]:
+                if w != old:
+                    key = w * n + old if w < old else old * n + w
+                    seen[key] = dv = moved(key, 0) - 1
+                    total -= counts[key] + dv
+        for x, old, new in ends:
+            for w in adj[x]:
+                if w != old:
+                    key = w * n + new if w < new else new * n + w
+                    dv = moved(key, 0)
+                    total += get(key, 0) + dv
+                    seen[key] = dv + 1
+                    if total > limit:
+                        return None
         return total
 
     def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
-        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and the score does not get
-        worse (strictly better unless keep_equal); a rejection changes nothing."""
+        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and `price` finds that the
+        score does not get worse (strictly better unless keep_equal); only an
+        accepted switch builds its `pair_changes`, and a rejection changes
+        nothing."""
         if not self.legal(a, b, c, d):
             return False
-        changes = self.pair_changes(a, b, c, d)
-        change = self.score_change(changes)
-        if change > 0 or (change == 0 and not keep_equal):
+        change = self.price(a, b, c, d, 0 if keep_equal else -1)
+        if change is None:
             return False
+        changes = self.pair_changes(a, b, c, d)
         index, edges = self.edge_index, self.edge_list
         i = index.pop((a, b) if a < b else (b, a))
         j = index.pop((c, d) if c < d else (d, c))
@@ -572,13 +600,15 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     Starts from a random stub pairing whose loops and repeated edges are
     switched away (`_paired_start`), counts common neighbours once in
     O(n·d²) memory and time over the 2-path keys of `_pair_keys`, then walks
-    the switch neighbourhood downhill on the 4-cycle score, scoring each
-    proposal before applying it, until no 4-cycle remains; a recount from
-    scratch checks the result: the returned graph's n·C(d, 2) 2-path keys
-    must all be distinct (AssertionError, a broken invariant, when they are
-    not). The repair and the descent share one budget of switch proposals
-    per restart. Restarts a bounded number of times and raises
-    GenerationError when the budget runs out. Infeasible parameters (odd
+    the switch neighbourhood downhill on the 4-cycle score, pricing each
+    proposal's lost 2-paths and then its gained ones before applying it and
+    rejecting it at the first gain that makes it worse than allowed, until
+    no 4-cycle remains; a recount from scratch checks the result: the
+    returned graph's n·C(d, 2) 2-path keys must all be distinct
+    (AssertionError, a broken invariant, when they are not). The repair
+    and the descent share one budget of switch proposals per restart.
+    Restarts a bounded number of times and raises GenerationError when the
+    budget runs out. Infeasible parameters (odd
     n*d, or n below the counting floor d*d - d + 1 for d >= 2, or at it for
     d >= 3) are rejected up front, and for d >= 3 so is n above
     RANDOM_VERTEX_CEILING (CeilingExceeded).

@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -115,6 +117,20 @@ class TestDimacsFormat:
     def test_negative_counts(self, text, message):
         with pytest.raises(gc.ParseError, match=f"line 1.*{message}"):
             gc.parse_dimacs(text)
+
+    def test_compared_texts_reach_every_check(self):
+        """compare_outputs.DIMACS_TEXTS fails each check of parse_dimacs with
+        one text, and its other texts are odd layouts of the 5-cycle."""
+        templates = Counter()
+        for text in compare_outputs.DIMACS_TEXTS.values():
+            try:
+                g = gc.parse_dimacs(text)
+            except gc.ParseError as exc:
+                templates[re.sub(r"\d+|'[^']*'", "#", str(exc))] += 1
+            else:
+                assert g == gc.generate_cycle(5)
+        assert set(templates.values()) == {1}
+        assert len(templates) == inspect.getsource(gc.parse_dimacs).count("raise ParseError")
 
     def test_vertex_ceiling(self, monkeypatch):
         with pytest.raises(gc.ParseError, match="line 2.*ceiling"):
@@ -235,14 +251,14 @@ class TestRandomRegularC4Free:
             gc.generate_random_c4_free_regular(3, 32, 0)
 
     def test_final_recount_catches_a_wrong_score(self, monkeypatch):
-        real = gc._SwapState.score_change
+        real = gc._SwapState.price
 
-        def lying(state, changes):
-            # a worsening swap is scored as one that clears every 4-cycle
-            change = real(state, changes)
-            return -state.score if change > 0 else change
+        def lying(state, a, b, c, d, limit):
+            # a rejected swap is priced as one that clears every 4-cycle
+            change = real(state, a, b, c, d, limit)
+            return -state.score if change is None else change
 
-        monkeypatch.setattr(gc._SwapState, "score_change", lying)
+        monkeypatch.setattr(gc._SwapState, "price", lying)
         with pytest.raises(AssertionError, match="internal"):
             gc.generate_random_c4_free_regular(4, 20, 0)
 
@@ -401,10 +417,18 @@ def test_swap_scoring_matches_a_recount(data):
     dd = data.draw(st.sampled_from(sorted(state.adj[c])), label="d'")
     keep_equal = data.draw(st.booleans(), label="keep_equal")
 
+    _check_swap(state, a, b, c, dd, keep_equal)
+
+
+def _check_swap(state: gc._SwapState, a: int, b: int, c: int, dd: int, keep_equal: bool):
+    """`price` against a recount of the switched graph for both limits, and
+    `try_swap` against the recount: the switch made exactly when the recounted
+    change is within the limit, every table updated then and none touched
+    otherwise."""
+    n = state.n
     before = _snapshot(state)
     legal = state.legal(a, b, c, dd)
     if legal:
-        change = state.score_change(state.pair_changes(a, b, c, dd))
         switched = [set(ns) for ns in state.adj]
         for x, y in ((a, b), (c, dd)):
             switched[x].discard(y)
@@ -412,9 +436,12 @@ def test_swap_scoring_matches_a_recount(data):
         for x, y in ((a, c), (b, dd)):
             switched[x].add(y)
             switched[y].add(x)
-        assert change == _score(switched) - _score(state.adj)
+        change = _score(switched) - _score(state.adj)
+        for limit in (-1, 0):
+            assert state.price(a, b, c, dd, limit) == (None if change > limit else change)
+        assert _snapshot(state) == before
     accepted = state.try_swap(a, b, c, dd, keep_equal)
-    assert accepted == (legal and (change < 0 or (change == 0 and keep_equal)))
+    assert accepted == (legal and change <= (0 if keep_equal else -1))
     if not accepted:
         assert _snapshot(state) == before
         return
@@ -428,6 +455,18 @@ def test_swap_scoring_matches_a_recount(data):
         (u, v) for u in range(n) for v in switched[u] if u < v
     )
     assert all(state.edge_list[i] == e for e, i in state.edge_index.items())
+
+
+@pytest.mark.parametrize("keep_equal", [False, True])
+def test_swap_scoring_on_a_switched_four_cycle(keep_equal):
+    """a~d and b~c, so a-b-c-d-a is a 4-cycle: the one switch whose lost
+    2-paths share pairs ({d, b} through a and c, {a, c} through b and d), and
+    whose gained ones do too ({d, c} through a and b, {a, b} through c and
+    d). In K_{3,3} the switch (0,3),(1,4) -> (0,1),(3,4) is such a switch."""
+    g = gc.generate_complete_bipartite(3)
+    state = gc._SwapState([set(ns) for ns in g.adjacency])
+    state.count()
+    _check_swap(state, 0, 3, 1, 4, keep_equal)
 
 
 @settings(max_examples=300, deadline=None)
