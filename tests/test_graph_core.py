@@ -459,10 +459,11 @@ def _check_swap(state: gc._SwapState, a: int, b: int, c: int, dd: int, keep_equa
 
 @pytest.mark.parametrize("keep_equal", [False, True])
 def test_swap_scoring_on_a_switched_four_cycle(keep_equal):
-    """a~d and b~c, so a-b-c-d-a is a 4-cycle: the one switch whose lost
-    2-paths share pairs ({d, b} through a and c, {a, c} through b and d), and
-    whose gained ones do too ({d, c} through a and b, {a, b} through c and
-    d). In K_{3,3} the switch (0,3),(1,4) -> (0,1),(3,4) is such a switch."""
+    """a~d and b~c, so a-b-c-d-a is a 4-cycle: the only kind of switch whose
+    lost 2-paths share pairs ({d, b} through a and c, {a, c} through b and
+    d), and whose gained ones do too ({d, c} through a and b, {a, b}
+    through c and d). In K_{3,3} the switch (0,3),(1,4) -> (0,1),(3,4) is
+    one; it lowers the score by 12, so both limits accept it."""
     g = gc.generate_complete_bipartite(3)
     state = gc._SwapState([set(ns) for ns in g.adjacency])
     state.count()
