@@ -17,9 +17,9 @@ from bchromatic.graph_core import CeilingExceeded, Graph
 FIVE_CYCLE_VERTEX_CEILING = 200
 
 # search nodes of the packing search (_max_compatible) per five_cycle_stats
-# call; past it the packing counts read None. Over 5 times the most that a
-# test graph needs (9,732 on a random:6,48) and 44 times the most that a
-# benchmark graph needs (1,116); Hoffman-Singleton needs 1,082,291
+# call; past it the packing counts read None. 4.8 times the most that a
+# test graph needs (10,244 on random:6,46 seed 1) and 44 times the most that
+# a benchmark graph needs (1,116); Hoffman-Singleton needs 1,082,291
 _PACKING_NODE_BUDGET = 50_000
 
 # sources per bit-parallel BFS batch in diameter, at most. Each of its two
@@ -41,9 +41,9 @@ _BFS_WORD_BUDGET = 2_000_000_000
 
 # split-graph arcs one vertex_connectivity call may charge its flows, each
 # flow the arcs its searches scan, before it raises CeilingExceeded: over
-# 1,800 times the most that a test graph needs (10,776 on a 300-vertex
-# Petersen lift), 390 times the most that a compare_outputs.py graph needs
-# (50,845 on random:4,1000) and 9,300 times the most that a mid-auto graph
+# 1,200 times the most that a test graph needs (16,146 on a chain of six
+# circulants), 420 times the most that a compare_outputs.py graph needs
+# (46,790 on random:4,1000) and 9,300 times the most that a mid-auto graph
 # needs (2,150). The 10**4-vertex lifts of Petersen, PG(2,3) and PG(2,5)
 # charge 620,532, 652,200 and 1,181,229
 _FLOW_ARC_BUDGET = 20_000_000

@@ -386,84 +386,47 @@ def _shuffle(bits, x: list) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+def _legal(adj: list[set[int]], a: int, b: int, c: int, d: int) -> bool:
+    """Whether (a,b),(c,d) may become (a,c),(b,d): no repeated vertex, no new edge present."""
+    return (a != c and a != d and b != c and b != d
+            and c not in adj[a] and d not in adj[b])
+
+
 class _SwapState:
-    """Mutable graph under degree-preserving edge switches. `switch` touches
-    only the adjacency sets and the two edge-list slots it is given. `count`
-    builds, once, the edge index (slot of each edge), the sparse counts of
-    `_common_counts`, the pairs with c ≥ 2 and the score Σ C(c, 2) over them
-    (a pair with c = 1 adds 0; zero iff C4-free); `try_swap` prices each
-    proposal from the counts with `price`, which most proposals leave after
-    a few of their gained 2-paths, and updates the counts and the index only
-    when it accepts."""
+    """Mutable graph under degree-preserving edge switches: the adjacency
+    sets, the sparse counts of `_common_counts`, the pairs with c ≥ 2 (a
+    list and each one's slot in it) and the score Σ C(c, 2) over them (a
+    pair with c = 1 adds 0; zero iff C4-free), all built here. `try_swap`
+    prices each proposal from the counts with `price`, which most proposals
+    leave after a few of their gained 2-paths, and applies the net changes
+    that `price` returns only when it accepts."""
 
     def __init__(self, adj: list[set[int]]) -> None:
         self.n = len(adj)
         self.adj = adj
-        self.edge_list = [(u, v) for u in range(self.n) for v in adj[u] if u < v]
-        self.edge_index: dict[tuple[int, int], int] = {}
-        self.counts: dict[int, int] = {}
-        self.score = 0
-        self.bad_pairs: list[int] = []
-        self.bad_index: dict[int, int] = {}
-
-    def count(self) -> None:
-        self.edge_index = {e: i for i, e in enumerate(self.edge_list)}
-        counts = self.counts = _common_counts(self.adj)
+        counts = self.counts = _common_counts(adj)
         self.bad_pairs = [key for key, c in counts.items() if c >= 2]
         self.score = sum(counts[key] * (counts[key] - 1) // 2 for key in self.bad_pairs)
         self.bad_index = {key: i for i, key in enumerate(self.bad_pairs)}
 
-    def legal(self, a: int, b: int, c: int, d: int) -> bool:
-        """Whether (a,b),(c,d) may become (a,c),(b,d): no repeated vertex, no new edge present."""
-        return (a != c and a != d and b != c and b != d
-                and c not in self.adj[a] and d not in self.adj[b])
-
-    def switch(self, a: int, b: int, c: int, d: int, i: int, j: int) -> None:
-        """Replace the edges (a,b), in edge-list slot i, and (c,d), in slot j,
-        by (a,c) in slot i and (b,d) in slot j; the move must be legal. The
-        edge index is left to the caller."""
-        adj = self.adj
-        na, nb, nc, nd = adj[a], adj[b], adj[c], adj[d]
-        na.remove(b)
-        nb.remove(a)
-        nc.remove(d)
-        nd.remove(c)
-        na.add(c)
-        nc.add(a)
-        nb.add(d)
-        nd.add(b)
-        edges = self.edge_list
-        edges[i] = (a, c) if a < c else (c, a)
-        edges[j] = (b, d) if b < d else (d, b)
-
-    def pair_changes(self, a: int, b: int, c: int, d: int) -> dict[int, int]:
-        """Net change of each pair's count under the legal switch (a,b),(c,d)
-        -> (a,c),(b,d). No 2-path uses two removed or two added edges (each two
-        are disjoint). For (x, old, new) in (a,b,c), (b,a,d), (c,d,a), (d,c,b),
-        x-old becomes x-new, and each other neighbour w of x moves one 2-path
-        from the pair {w, old} to {w, new}; legality keeps new out of N(x)."""
-        n, adj = self.n, self.adj
-        changes: dict[int, int] = {}
-        get = changes.get
-        for x, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
-            for w in adj[x]:
-                if w != old:
-                    key = w * n + old if w < old else old * n + w
-                    changes[key] = get(key, 0) - 1
-                    key = w * n + new if w < new else new * n + w
-                    changes[key] = get(key, 0) + 1
-        return changes
-
-    def price(self, a: int, b: int, c: int, d: int, limit: int) -> int | None:
-        """Change of the score under the legal switch (a,b),(c,d) -> (a,c),(b,d),
-        or None once it is sure to exceed limit. The 2-paths of `pair_changes`
-        are priced one at a time against the counts so far, which `seen`
-        holds for the keys already met: a loss lowers the score by the pair's
-        count after it, a gain raises it by the count before it. The losses
-        come first; from then on the total only grows, so the first gain
-        that takes it past limit settles it. At minimum degree 2 each of the
-        four ends keeps a neighbour, so some 2-path is gained, and a total
-        already past limit after the losses is caught at the first gain."""
+    def price(self, a: int, b: int, c: int, d: int,
+              limit: int) -> tuple[int, dict[int, int]] | None:
+        """Change of the score under the legal switch (a,b),(c,d) -> (a,c),(b,d)
+        and the net change of each pair's count it meets, or None once the
+        score is sure to rise past limit. No 2-path uses two removed or two
+        added edges (each two are disjoint). For (x, old, new) in (a,b,c),
+        (b,a,d), (c,d,a), (d,c,b), x-old becomes x-new, and each other
+        neighbour w of x moves one 2-path from the pair {w, old} to {w, new};
+        legality keeps new out of N(x). These 2-paths are priced one at a time
+        against the counts so far, which `seen` holds for the keys already
+        met: a loss lowers the score by the pair's count after it, a gain
+        raises it by the count before it. The losses come first; from then on
+        the total only grows, so the first gain that takes it past limit
+        settles it. At minimum degree 2 each of the four ends keeps a
+        neighbour, so some 2-path is gained, and a total already past limit
+        after the losses is caught at the first gain. A switch that stays
+        within limit has met all its 2-paths, so `seen` is then its net
+        change per pair (some entries 0)."""
         n, adj, counts = self.n, self.adj, self.counts
         get = counts.get
         seen: dict[int, int] = {}
@@ -485,25 +448,30 @@ class _SwapState:
                     seen[key] = dv + 1
                     if total > limit:
                         return None
-        return total
+        return total, seen
 
     def try_swap(self, a: int, b: int, c: int, d: int, keep_equal: bool) -> bool:
-        """Switch (a,b),(c,d) to (a,c),(b,d) if legal and `price` finds that the
-        score does not get worse (strictly better unless keep_equal); only an
-        accepted switch builds its `pair_changes`, and a rejection changes
+        """Switch (a,b),(c,d) to (a,c),(b,d) if `_legal` allows it and `price`
+        finds that the score does not get worse (strictly better unless
+        keep_equal): make the eight set updates and apply the net changes
+        `price` returned to the counts and the bad pairs. A rejection changes
         nothing."""
-        if not self.legal(a, b, c, d):
+        adj = self.adj
+        if not _legal(adj, a, b, c, d):
             return False
-        change = self.price(a, b, c, d, 0 if keep_equal else -1)
-        if change is None:
+        priced = self.price(a, b, c, d, 0 if keep_equal else -1)
+        if priced is None:
             return False
-        changes = self.pair_changes(a, b, c, d)
-        index, edges = self.edge_index, self.edge_list
-        i = index.pop((a, b) if a < b else (b, a))
-        j = index.pop((c, d) if c < d else (d, c))
-        self.switch(a, b, c, d, i, j)
-        index[edges[i]] = i
-        index[edges[j]] = j
+        change, changes = priced
+        na, nb, nc, nd = adj[a], adj[b], adj[c], adj[d]
+        na.remove(b)
+        nb.remove(a)
+        nc.remove(d)
+        nd.remove(c)
+        na.add(c)
+        nc.add(a)
+        nb.add(d)
+        nd.add(b)
         counts, bad_index, bad_pairs = self.counts, self.bad_index, self.bad_pairs
         for key, dv in changes.items():
             now = counts.get(key, 0) + dv
@@ -526,14 +494,14 @@ class _SwapState:
 
 
 def _paired_start(n: int, d: int, rng: random.Random,
-                  attempts: int) -> tuple[_SwapState, int] | None:
+                  attempts: int) -> tuple[list[set[int]], int] | None:
     """Random simple d-regular start from the pairing model: shuffle the n·d
     stubs (each vertex d times) with `_shuffle` and pair them in order. Each
     loop or repeated pair (a, b) is left out, then replaced with a uniform
-    edge (c, e), oriented by a coin, by (a, c) and (b, e) once `legal` allows
-    it (for a loop, c, e ∉ N(a)). Each proposal spends one of `attempts`.
-    Returns the state and the attempts left, or None when they run out or no
-    edge is simple."""
+    edge (c, e) of a local edge list, oriented by a coin, by (a, c) and
+    (b, e) once `_legal` allows it (for a loop, c, e ∉ N(a)). Each proposal
+    spends one of `attempts`. Returns the adjacency sets and the attempts
+    left, or None when they run out or no edge is simple."""
     stubs = sorted(list(range(n)) * d)
     bits, coin = rng.getrandbits, rng.random
     _shuffle(bits, stubs)
@@ -545,8 +513,7 @@ def _paired_start(n: int, d: int, rng: random.Random,
         else:
             adj[a].add(b)
             adj[b].add(a)
-    state = _SwapState(adj)
-    edges, legal = state.edge_list, state.legal
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
     for a, b in defects:
         while True:
             if not attempts or not edges:
@@ -556,7 +523,7 @@ def _paired_start(n: int, d: int, rng: random.Random,
             c, e = edges[j]
             if coin() < 0.5:
                 c, e = e, c
-            if legal(a, b, c, e):
+            if _legal(adj, a, b, c, e):
                 break
         adj[c].remove(e)
         adj[e].remove(c)
@@ -565,17 +532,20 @@ def _paired_start(n: int, d: int, rng: random.Random,
             adj[y].add(x)
         edges[j] = (a, c) if a < c else (c, a)
         edges.append((b, e) if b < e else (e, b))
-    return state, attempts
+    return adj, attempts
 
 
 def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
     """Downhill walk on the 4-cycle score: pick a bad pair, a shared neighbour
-    and one edge of that 4-cycle, and propose switching it with a uniform edge.
-    Each draw is the one `rng.randrange` or `rng.random()` made, through
-    `_below` over `rng.getrandbits`."""
+    and one edge of that 4-cycle, and propose switching it with a partner
+    edge (c, d), d a uniform neighbour of a uniform vertex c. The graph is
+    regular, so (c, d) is uniform over the directed edges, as a uniform edge
+    with a coin for its orientation would be. Each draw is the one
+    `rng.randrange` or `rng.random()` made, through `_below` over
+    `rng.getrandbits`."""
     bits, coin = rng.getrandbits, rng.random
-    adj, edges, bad_pairs, n = state.adj, state.edge_list, state.bad_pairs, state.n
-    m = len(edges)
+    adj, bad_pairs, n = state.adj, state.bad_pairs, state.n
+    degree = len(adj[0])
     try_swap = state.try_swap
     for _ in range(attempts):
         if state.score == 0:
@@ -587,9 +557,8 @@ def _descend(state: _SwapState, rng: random.Random, attempts: int) -> bool:
         a, b = (u, x) if coin() < 0.5 else (x, v)
         if coin() < 0.5:
             a, b = b, a
-        c, d = edges[_below(bits, m)]
-        if coin() < 0.5:
-            c, d = d, c
+        c, i = divmod(_below(bits, n * degree), degree)
+        d = tuple(adj[c])[i]
         try_swap(a, b, c, d, keep_equal=coin() < 0.25)
     return state.score == 0
 
@@ -600,10 +569,13 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
     Starts from a random stub pairing whose loops and repeated edges are
     switched away (`_paired_start`), counts common neighbours once in
     O(n·d²) memory and time over the 2-path keys of `_pair_keys`, then walks
-    the switch neighbourhood downhill on the 4-cycle score, pricing each
-    proposal's lost 2-paths and then its gained ones before applying it and
-    rejecting it at the first gain that makes it worse than allowed, until
-    no 4-cycle remains; a recount from scratch checks the result: the
+    the switch neighbourhood downhill on the 4-cycle score (`_descend`; the
+    partner edge of each proposal is a uniform neighbour of a uniform
+    vertex), pricing each proposal's lost 2-paths and then its gained ones
+    in one walk before applying it and rejecting it at the first gain that
+    makes it worse than allowed; an accepted switch updates the counts by
+    the net changes that walk collected. This goes on until no 4-cycle
+    remains; a recount from scratch checks the result: the
     returned graph's n·C(d, 2) 2-path keys must all be distinct
     (AssertionError, a broken invariant, when they are not). The repair
     and the descent share one budget of switch proposals per restart.
@@ -646,9 +618,8 @@ def generate_random_c4_free_regular(d: int, n: int, seed: int) -> Graph:
         start = _paired_start(n, d, rng, attempts)
         if start is None:
             continue
-        state, left = start
-        state.count()
-        if _descend(state, rng, left):
+        state = _SwapState(start[0])
+        if _descend(state, rng, start[1]):
             g = Graph(state.n, tuple(tuple(sorted(ns)) for ns in state.adj))
             try:
                 validate_graph(g)

@@ -780,7 +780,7 @@ class TestFiveCycles:
         assert stats.max_path_disjoint == by_path
 
     @pytest.mark.parametrize("name, total", [
-        ("petersen", 105), ("heawood", 63), ("random:4,20/0", 228),
+        ("petersen", 105), ("heawood", 63), ("random:4,20/0", 284),
     ])
     def test_packing_budget_boundary(self, monkeypatch, name, total):
         """total is the packing search's node count: the smallest

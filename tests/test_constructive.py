@@ -425,7 +425,7 @@ class TestFullSeedStrategy:
 
 
 # three sizes a little above the d^2 - d + 1 floor for each degree: the
-# smallest with n*d even at which the generator succeeds on seeds 0-2
+# smallest even n at which the generator succeeds on seeds 0-2
 NEAR_FLOOR_SIZES = {3: (10, 12, 14), 4: (16, 18, 20), 5: (28, 30, 32), 6: (46, 48, 50)}
 
 

@@ -254,9 +254,12 @@ class TestRandomRegularC4Free:
         real = gc._SwapState.price
 
         def lying(state, a, b, c, d, limit):
-            # a rejected swap is priced as one that clears every 4-cycle
-            change = real(state, a, b, c, d, limit)
-            return -state.score if change is None else change
+            # a rejected swap is made, with its real pair changes, and priced
+            # as one that clears every 4-cycle
+            priced = real(state, a, b, c, d, limit)
+            if priced is None:
+                return -state.score, real(state, a, b, c, d, math.inf)[1]
+            return priced
 
         monkeypatch.setattr(gc._SwapState, "price", lying)
         with pytest.raises(AssertionError, match="internal"):
@@ -284,11 +287,11 @@ class TestRandomRegularC4Free:
 # A change that keeps every draw and accept decision keeps these; a change
 # to the search that alters the output for a seed updates them and says so.
 GENERATED_SHA256 = {
-    (3, 20, 7): "fc797621fd1564ea0278f1b1ff087ed899051e8d833b07e863b761c20fee6c56",
-    (4, 20, 0): "e2159904320496a78d03a88a17d9270974543fde988bc3d391f29eb1171c3bee",
-    (5, 32, 1): "77345a45e3afee1e4638e7d595f00bd4f85cc5b8c32ac249974914d642242fd2",
-    (6, 64, 2): "16809d19ebf9d6ad9c19feea68fd7356c7873aff8b8caf9063ee5337d7018cff",
-    (3, 2000, 0): "5c35f6f70da27882bb1f6abf437e0aba7a643f900abb0d8fd0f2e6070ff8b2b1",
+    (3, 20, 7): "1552477fe2548e069ded42b9a85cc3e07cb4b0f087eed8cee50fa2c39fee0f44",
+    (4, 20, 0): "bf968e77f0cac2337223b8208cff908893c8ed6ef63bbca904c73e30ddc5f325",
+    (5, 32, 1): "c98e1a347bd302e307c1161346396b94667ae0a46d838a26f1a023f460258ff9",
+    (6, 64, 2): "aa62131be0866daf56100ca819d8ea6f9d5b8b27b4c7cb4ef02698ea0ec7aa45",
+    (3, 2000, 0): "ecd2256a4d6d532f88dad69e7b02f853cd0863f2581216840b1f167b70b25d0a",
 }
 
 
@@ -356,7 +359,7 @@ def test_distinct_pair_keys_mean_no_four_cycle(data):
         d = data.draw(st.integers(3, n - 1).filter(lambda d: n * d % 2 == 0), label="d")
         start = gc._paired_start(n, d, random.Random(data.draw(st.integers(0, 2**32))), 5000)
         assume(start is not None)
-        adj = start[0].adj
+        adj = start[0]
     else:
         possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
@@ -379,8 +382,6 @@ def _score(adj: list[set[int]]) -> int:
 def _snapshot(state: gc._SwapState):
     return (
         [set(ns) for ns in state.adj],
-        list(state.edge_list),
-        dict(state.edge_index),
         dict(state.counts),
         state.score,
         list(state.bad_pairs),
@@ -398,10 +399,10 @@ def test_swap_scoring_matches_a_recount(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     start = gc._paired_start(n, d, rng, 5000)
     assume(start is not None)
-    state = start[0]
+    state = gc._SwapState(start[0])
     assert all(len(ns) == d for ns in state.adj)
-    state.count()
     assert state.counts == _pair_counts(state.adj)
+    assert state.score == _score(state.adj)
 
     a = data.draw(st.integers(0, n - 1), label="a")
     b = data.draw(st.sampled_from(sorted(state.adj[a])), label="b")
@@ -421,13 +422,13 @@ def test_swap_scoring_matches_a_recount(data):
 
 
 def _check_swap(state: gc._SwapState, a: int, b: int, c: int, dd: int, keep_equal: bool):
-    """`price` against a recount of the switched graph for both limits, and
-    `try_swap` against the recount: the switch made exactly when the recounted
-    change is within the limit, every table updated then and none touched
-    otherwise."""
-    n = state.n
+    """`price` against a recount of the switched graph for both limits (the
+    score's change, and each pair's count change on every nonzero entry),
+    and `try_swap` against the recount: the switch made exactly when the
+    recounted change is within the limit, every table updated then and none
+    touched otherwise."""
     before = _snapshot(state)
-    legal = state.legal(a, b, c, dd)
+    legal = gc._legal(state.adj, a, b, c, dd)
     if legal:
         switched = [set(ns) for ns in state.adj]
         for x, y in ((a, b), (c, dd)):
@@ -437,8 +438,16 @@ def _check_swap(state: gc._SwapState, a: int, b: int, c: int, dd: int, keep_equa
             switched[x].add(y)
             switched[y].add(x)
         change = _score(switched) - _score(state.adj)
+        old, new = _pair_counts(state.adj), _pair_counts(switched)
+        diff = {k: new.get(k, 0) - old.get(k, 0) for k in old.keys() | new.keys()}
         for limit in (-1, 0):
-            assert state.price(a, b, c, dd, limit) == (None if change > limit else change)
+            priced = state.price(a, b, c, dd, limit)
+            if change > limit:
+                assert priced is None
+                continue
+            total, changes = priced
+            assert total == change
+            assert {k: v for k, v in changes.items() if v} == {k: v for k, v in diff.items() if v}
         assert _snapshot(state) == before
     accepted = state.try_swap(a, b, c, dd, keep_equal)
     assert accepted == (legal and change <= (0 if keep_equal else -1))
@@ -451,10 +460,6 @@ def _check_swap(state: gc._SwapState, a: int, b: int, c: int, dd: int, keep_equa
     assert state.score == _score(switched)
     assert sorted(state.bad_pairs) == sorted(k for k, c in state.counts.items() if c >= 2)
     assert all(state.bad_pairs[i] == k for k, i in state.bad_index.items())
-    assert sorted(state.edge_list) == sorted(
-        (u, v) for u in range(n) for v in switched[u] if u < v
-    )
-    assert all(state.edge_list[i] == e for e, i in state.edge_index.items())
 
 
 @pytest.mark.parametrize("keep_equal", [False, True])
@@ -466,16 +471,39 @@ def test_swap_scoring_on_a_switched_four_cycle(keep_equal):
     one; it lowers the score by 12, so both limits accept it."""
     g = gc.generate_complete_bipartite(3)
     state = gc._SwapState([set(ns) for ns in g.adjacency])
-    state.count()
     _check_swap(state, 0, 3, 1, 4, keep_equal)
+
+
+def test_partner_edge_is_uniform_over_directed_edges():
+    """`_descend` draws its partner edge (c, d) as a uniform neighbour of a
+    uniform vertex, so on a regular graph each directed edge comes with
+    probability 1/(n·d), as a uniform edge with a coin for its orientation
+    would. With every proposal rejected, the paired start of random:4,20
+    seed 0 keeps its 4-cycles, and each of 40,000 proposals draws a partner
+    edge: about 500 of each of the 80 directed edges (binomial sd 22)."""
+    n, d = 20, 4
+    rng = random.Random(0)
+    adj, _ = gc._paired_start(n, d, rng, 5000 + 250 * n * d)
+    state = gc._SwapState(adj)
+    assert state.score == 24
+    drawn = Counter()
+
+    def record(a, b, c, dd, keep_equal):
+        drawn[c, dd] += 1
+        return False
+
+    state.try_swap = record
+    assert not gc._descend(state, rng, 40_000)
+    assert set(drawn) == {(u, v) for u in range(n) for v in adj[u]}
+    assert all(400 <= k <= 600 for k in drawn.values()), sorted(drawn.values())
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_paired_start_is_simple_and_regular(data):
     """Down to the counting floor, and with budgets from none to plenty, a
-    paired start is a simple d-regular graph whose edge list holds each edge
-    once, or None once the repair has spent every attempt."""
+    paired start is a simple d-regular graph, or None once the repair has
+    spent every attempt."""
     d = data.draw(st.integers(3, 6), label="d")
     floor = d * d - d + 1
     n = data.draw(st.integers(floor, 3 * floor).filter(lambda n: n * d % 2 == 0), label="n")
@@ -483,11 +511,10 @@ def test_paired_start_is_simple_and_regular(data):
     start = gc._paired_start(n, d, random.Random(data.draw(st.integers(0, 2**32))), attempts)
     if start is None:
         return
-    state, left = start
+    adj, left = start
     assert 0 <= left <= attempts
-    assert all(len(ns) == d and v not in ns for v, ns in enumerate(state.adj))
-    assert all(u in state.adj[v] for u in range(n) for v in state.adj[u])
-    assert sorted(state.edge_list) == [(u, v) for u in range(n) for v in sorted(state.adj[u]) if u < v]
+    assert all(len(ns) == d and v not in ns for v, ns in enumerate(adj))
+    assert all(u in adj[v] for u in range(n) for v in adj[u])
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (5, 4)])
