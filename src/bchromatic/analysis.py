@@ -17,7 +17,7 @@ from bchromatic.graph_core import CeilingExceeded, Graph
 FIVE_CYCLE_VERTEX_CEILING = 200
 
 # search nodes of the packing search (_max_compatible) per five_cycle_stats
-# call; past it the packing counts read None. 4.8 times the most that a
+# call; past it the packing counts read None. Over 4.8 times the most that a
 # test graph needs (10,244 on random:6,46 seed 1) and 44 times the most that
 # a benchmark graph needs (1,116); Hoffman-Singleton needs 1,082,291
 _PACKING_NODE_BUDGET = 50_000
