@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 
-from bchromatic import analysis, constructive as con, graph_core as gc
+from bchromatic import constructive as con, graph_core as gc
 
 SIZE_FOR_DEGREE = {3: 20, 4: 24, 5: 32, 6: 48, 7: 64}
 

@@ -635,14 +635,13 @@ class HypothesisReport:
     """Which coloring routes apply to a graph, with the structural facts
     behind each gate and the bounds on the b-chromatic number.
 
-    full_seed_center is the first center whose full seeding verifies, the
-    one construct_full_seed_bcoloring colors from; None when no center
-    works, for d <= 2 and on ineligible graphs. phi_lower_bound holds only
-    what a route certifies: d+1 where the small case (d <= 2), a full-seed
-    center, the diameter route or the small-cut route applies, otherwise
-    lower_bound_colors. The five-cycle predicates are reported facts and
-    raise no bound. An ineligible graph (not regular, or with a 4-cycle)
-    gets 1, or 0 when empty. phi_upper_bound is the maximum degree + 1.
+    phi_lower_bound is what auto color (construct_auto_bcoloring)
+    guarantees on the graph, and full_seed_center the center it colors from
+    when it takes the full seed; None when it takes another route, for
+    d <= 2 and on ineligible graphs. The five-cycle predicates are reported
+    facts and raise no bound. An ineligible graph (not regular, or with a
+    4-cycle) gets 1, or 0 when empty. phi_upper_bound is the maximum
+    degree + 1.
     """
 
     vertices: int
@@ -744,7 +743,10 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     (d-1)/2 when the girth is exactly 5. They are None when the graph is not
     regular and C4-free, or beyond the enumeration ceiling; the packing
     predicate also when its search passes _PACKING_NODE_BUDGET nodes.
-    phi_lower_bound follows the routes alone (see HypothesisReport).
+    On an eligible graph this runs auto color once and reads
+    phi_lower_bound and full_seed_center off its outcome (see
+    HypothesisReport); where no full-seed center exists, that runs auto's
+    later routes too.
     """
     d = is_regular(g)
     c4 = find_four_cycle(g)
@@ -790,12 +792,10 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
                         packing_witness = v
         diameter_route = diam >= 6
         small_cut_route = 2 * cert.kappa <= d + 1
-        if d >= 3:
-            found = constructive._first_full_seed(g, d, None)
-            if isinstance(found, constructive.ConstructionOutcome):
-                full_seed_center = found.plans[0].center
-        certified = d <= 2 or full_seed_center is not None or diameter_route or small_cut_route
-        phi_lower = d + 1 if certified else lower_colors
+        outcome = constructive.construct_auto_bcoloring(g)
+        phi_lower = outcome.guaranteed_colors
+        if outcome.strategy == "full-seed":
+            full_seed_center = outcome.plans[0].center
 
     return HypothesisReport(
         vertices=n,

@@ -112,19 +112,19 @@ def _run_generate(args: argparse.Namespace) -> int:
     if kind == "petersen" and not rest:
         g = generate_petersen()
     elif kind == "kdd":
-        d = _positive_int(rest, "kdd degree")
+        d = _nonnegative_int(rest, "kdd degree")
         _refuse_above_ceiling(spec, 2 * d, d * d)
         g = generate_complete_bipartite(d)
     elif kind == "cycle":
-        n = _positive_int(rest, "cycle length")
+        n = _nonnegative_int(rest, "cycle length")
         _refuse_above_ceiling(spec, n, n)
         g = generate_cycle(n)
     elif kind == "random":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"random spec needs d,n; got {rest!r}")
-        d = _positive_int(parts[0], "degree")
-        n = _positive_int(parts[1], "vertex count")
+        d = _nonnegative_int(parts[0], "degree")
+        n = _nonnegative_int(parts[1], "vertex count")
         _refuse_above_ceiling(spec, n, n * d // 2)
         g = generate_random_c4_free_regular(d, n, args.seed)
     else:
@@ -143,7 +143,7 @@ def _refuse_above_ceiling(spec: str, vertices: int, edges: int) -> None:
         )
 
 
-def _positive_int(text: str, label: str) -> int:
+def _nonnegative_int(text: str, label: str) -> int:
     try:
         value = int(text)
     except ValueError:

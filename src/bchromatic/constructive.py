@@ -737,18 +737,6 @@ def _full_seed_at(
     return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)), (plan,))
 
 
-def _first_full_seed(
-    g: Graph, d: int, trace: ConstructionTrace | None
-) -> ConstructionOutcome | HallViolator:
-    # the outcome of the first center whose full seeding verifies, or the
-    # Hall violator that rejects the last center; g is gated and d >= 3
-    for center in range(g.vertex_count):
-        found = _full_seed_at(g, d, center, trace)
-        if isinstance(found, ConstructionOutcome):
-            return found
-    return found
-
-
 def construct_full_seed_bcoloring(
     g: Graph, trace: ConstructionTrace | None = None
 ) -> ConstructionOutcome:
@@ -775,9 +763,10 @@ def construct_full_seed_bcoloring(
     d = _gate_regular_c4_free(g)
     if d <= 2:
         return _small_case(g, d)
-    found = _first_full_seed(g, d, trace)
-    if isinstance(found, ConstructionOutcome):
-        return found
+    for center in range(g.vertex_count):
+        found = _full_seed_at(g, d, center, trace)
+        if isinstance(found, ConstructionOutcome):
+            return found
     raise HypothesisRejection(
         f"no center's rings all have color matchings: {g.vertex_count} centers tried, "
         f"the last ring's Hall violator of size {len(found.left_subset)} can take "

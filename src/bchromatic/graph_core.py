@@ -256,12 +256,6 @@ def generate_cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def generate_complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def generate_generalized_petersen(n: int, k: int) -> Graph:
     """Outer n-cycle 0..n-1, inner vertices n..2n-1 stepping by k, plus spokes."""
     if n < 3 or not 1 <= k < n / 2:

@@ -1,6 +1,7 @@
 import pytest
 
 from bchromatic import graph_core as gc
+from tests import oracles
 
 
 @pytest.fixture
@@ -31,8 +32,8 @@ def small_corpus() -> list[tuple[str, gc.Graph]]:
         ("c5", gc.generate_cycle(5)),
         ("c6", gc.generate_cycle(6)),
         ("c7", gc.generate_cycle(7)),
-        ("k4", gc.generate_complete(4)),
-        ("k5", gc.generate_complete(5)),
+        ("k4", oracles.generate_complete(4)),
+        ("k5", oracles.generate_complete(5)),
         ("k33", gc.generate_complete_bipartite(3)),
         ("cube", gc.generate_generalized_petersen(4, 1)),
         ("petersen", gc.generate_petersen()),

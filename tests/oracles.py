@@ -1,4 +1,5 @@
-"""Independent brute-force reference implementations.
+"""Independent brute-force reference implementations, and generate_complete,
+a graph family that only tests build.
 
 Everything here trades efficiency for obviousness so the fast library code
 can be checked against it on small inputs. Nothing in this module imports
@@ -14,6 +15,13 @@ from collections import deque
 from typing import Hashable, Iterable
 
 from bchromatic.graph_core import PARSE_VERTEX_CEILING, Graph, ParseError
+
+
+def generate_complete(n: int) -> Graph:
+    """The complete graph K_n, n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def reference_parse_edge_list(text: str) -> Graph:

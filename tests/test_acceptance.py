@@ -164,7 +164,7 @@ def test_criterion_07_matching_guarantee():
 def test_criterion_08_oracle_against_naive():
     t0 = time.monotonic()
     corpus = [gc.generate_cycle(n) for n in range(3, 9)]
-    corpus += [gc.generate_complete(4), gc.generate_complete_bipartite(3),
+    corpus += [oracles.generate_complete(4), gc.generate_complete_bipartite(3),
                gc.generate_generalized_petersen(4, 1)]
     rng = random.Random(8)
     for _ in range(8):

@@ -250,7 +250,7 @@ class TestGirth:
         assert analysis.girth(heawood) == 6
         assert analysis.girth(cube) == 4
         assert analysis.girth(gc.generate_cycle(7)) == 7
-        assert analysis.girth(gc.generate_complete(4)) == 3
+        assert analysis.girth(oracles.generate_complete(4)) == 3
         assert analysis.girth(gc.Graph.from_edges(4, [(0, 1), (1, 2)])) == math.inf
 
     @settings(max_examples=80, deadline=None)
@@ -376,7 +376,7 @@ class TestVertexConnectivity:
         assert len(cert.components) >= 2
 
     def test_complete_and_tiny(self):
-        assert analysis.vertex_connectivity(gc.generate_complete(5)) == analysis.CutCertificate(
+        assert analysis.vertex_connectivity(oracles.generate_complete(5)) == analysis.CutCertificate(
             4, (1, 2, 3, 4), ((0,),)
         )
         assert analysis.vertex_connectivity(gc.Graph.from_edges(0, [])) == analysis.CutCertificate(

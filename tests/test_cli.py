@@ -57,9 +57,10 @@ class TestGenerate:
         assert out1 != out3
 
     def test_bad_specs_exit_one(self, monkeypatch, capsys):
-        for spec in ["bogus", "cycle:x", "random:3", "kdd:", "petersen:extra"]:
+        for spec in ["bogus", "cycle:x", "random:3", "kdd:", "petersen:extra", "kdd:-1"]:
             code, _, err = run_cli(monkeypatch, capsys, ["generate", "--input", spec])
             assert code == 1, (spec, err)
+        assert err == "bchromatic: kdd degree must be nonnegative, got -1\n"
 
     def test_infeasible_random_exits_one(self, monkeypatch, capsys):
         code, _, _ = run_cli(monkeypatch, capsys, ["generate", "--input", "random:3,9"])

@@ -401,6 +401,7 @@ class TestFullSeedStrategy:
         # a rejected center leaves no record
         assert {rec.center for rec in trace.seed_steps} == {10}
         assert_outcome_ok(g, out, exact_colors=4)
+        assert analysis.check_hypotheses(g).full_seed_center == 10
 
     def test_small_cases(self):
         out = con.construct_full_seed_bcoloring(gc.generate_cycle(7))
@@ -433,8 +434,10 @@ class TestAutoReachesTheReportedBound:
     """Auto emits at least the analysis' phi_lower_bound, and where the
     exhaustive search runs (n <= 24) exactly phi. The bound is d+1 exactly
     where auto certifies d+1 by a route other than the lower bound, and
-    otherwise the lower-bound route's count. A five-cycle predicate that
-    holds at d >= 3 comes with a full-seed center."""
+    otherwise the lower-bound route's count. The full-seed center is the
+    one auto colors from when it takes the full seed, and None otherwise. A
+    five-cycle predicate that holds at d >= 3 comes with a full-seed
+    center."""
 
     def check(self, g):
         rep = analysis.check_hypotheses(g)
@@ -449,6 +452,7 @@ class TestAutoReachesTheReportedBound:
         d = rep.regular_degree
         expected = rep.lower_bound_colors if out.strategy == "lower-bound" else d + 1
         assert rep.phi_lower_bound == expected, (out.strategy, rep.phi_lower_bound)
+        assert rep.full_seed_center == (out.plans[0].center if out.strategy == "full-seed" else None)
         if d >= 3 and (rep.five_cycle_count_vertex_exists or rep.five_cycle_packing_vertex_exists):
             assert rep.full_seed_center is not None
         if g.vertex_count <= eo.DEFAULT_VERTEX_CEILING:

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,7 +42,7 @@ class TestExactValues:
 
     def test_complete_graphs(self):
         for n in (2, 3, 4, 5):
-            assert eo.exact_b_chromatic(gc.generate_complete(n)).phi == n
+            assert eo.exact_b_chromatic(oracles.generate_complete(n)).phi == n
 
     def test_complete_bipartite_is_two(self):
         for d in (2, 3, 4):

@@ -29,6 +29,8 @@ class TestGraphBasics:
             gc.Graph.from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             gc.Graph.from_edges(2, [(-1, 0)])
+        with pytest.raises(ValueError, match="vertex_count must be nonnegative"):
+            gc.Graph.from_edges(-1, [])
 
     def test_degree_and_neighbor_sets(self):
         g = gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -41,6 +43,18 @@ class TestGraphBasics:
         g = gc.Graph.from_edges(0, [])
         assert g.vertex_count == 0 and g.edge_count == 0
         assert g.max_degree() == 0
+
+    @pytest.mark.parametrize("count, adjacency, message", [
+        (-1, (), "negative vertex count"),
+        (2, ((1,),), "adjacency length disagrees"),
+        (3, ((2, 1), (0,), (0,)), "adjacency of 0 is not strictly increasing"),
+        (2, ((2,), ()), "neighbor 2 of 0 out of range"),
+        (2, ((0,), ()), "self-loop at 0"),
+        (2, ((1,), ()), r"edge \(0, 1\) not symmetric"),
+    ])
+    def test_validate_graph_rejects(self, count, adjacency, message):
+        with pytest.raises(ValueError, match=message):
+            gc.validate_graph(gc.Graph(count, adjacency))
 
 
 class TestEdgeListFormat:
@@ -152,6 +166,8 @@ class TestGenerators:
         assert g.vertex_count == 6 and g.edge_count == 9
         assert all(g.degree(v) == 3 for v in range(6))
         assert not g.has_edge(0, 1) and g.has_edge(0, 3)
+        with pytest.raises(ValueError, match="at least 1"):
+            gc.generate_complete_bipartite(0)
 
     def test_cycle(self):
         g = gc.generate_cycle(5)
@@ -160,13 +176,15 @@ class TestGenerators:
             gc.generate_cycle(2)
 
     def test_complete(self):
-        g = gc.generate_complete(4)
+        g = oracles.generate_complete(4)
         assert g.edge_count == 6
 
     def test_generalized_petersen_cube(self):
         g = gc.generate_generalized_petersen(4, 1)
         assert g.vertex_count == 8 and g.edge_count == 12
         assert all(g.degree(v) == 3 for v in range(8))
+        with pytest.raises(ValueError, match="1 <= k < n/2"):
+            gc.generate_generalized_petersen(5, 3)
 
     def test_heawood(self):
         g = gc.generate_heawood()
@@ -206,6 +224,9 @@ class TestCubicGadgets:
 
 class TestRandomRegularC4Free:
     def test_feasibility_errors(self):
+        for d, n in ((-1, 10), (3, -4)):
+            with pytest.raises(ValueError, match="d and n must be nonnegative"):
+                gc.generate_random_c4_free_regular(d, n, 0)
         with pytest.raises(ValueError):
             gc.generate_random_c4_free_regular(3, 9, 0)  # n*d odd
         with pytest.raises(ValueError):
