@@ -33,6 +33,11 @@ odd but valid layouts, is the stdin of `analyze --format dimacs --output
 json`. `generate --input random:d,n --seed s` runs for the same N seeds at
 each size of RANDOM_SIZES, at random:3,2000 and at the near-floor sizes
 random:5,32 and random:6,64, where the swap descent does most of its work.
+`verify` reads its certificate from stdin, so each graph's edge list is
+also written to a temporary file, and `verify --input <file>` runs with two
+certificates: this tree's own auto `color` output, where that exits 0, and
+the fixed coloring v % 3 + 1 in a palette of 3. These cases run after all
+the others, since the first certificate is their output.
 
 Each tree runs all the cases in one child interpreter, started with the
 tree's `src` first on the path. The child calls `bchromatic.cli.main(argv)`
@@ -57,6 +62,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from bchromatic import graph_core as gc
@@ -251,6 +257,31 @@ def run_all(src: Path, cases: list[tuple[list[str], str]]) -> tuple[list[list], 
     return first, again
 
 
+def run_trees(other_src: Path, cases: list[tuple[str, list[str], str]]) -> tuple:
+    """run_all on this tree and then on the other, for (name, argv, stdin
+    text) cases."""
+    runs = [(argv, text) for _, argv, text in cases]
+    return run_all(OWN_SRC, runs), run_all(other_src, runs)
+
+
+def verify_cases(
+    graphs: dict[str, gc.Graph], certificates: dict[str, str], folder: Path
+) -> list[tuple[str, list[str], str]]:
+    """A `verify` case per graph and certificate: the graph's own one from
+    certificates, if it has one, and v % 3 + 1. Writes each graph's edge
+    list into folder."""
+    cases = []
+    for i, (name, g) in enumerate(graphs.items()):
+        path = folder / f"{i}.txt"
+        path.write_text(gc.serialize_edge_list(g))
+        argv = ["verify", "--input", str(path)]
+        if name in certificates:
+            cases.append((f"{name}/auto", argv, certificates[name]))
+        mod3 = {"palette": 3, "assignment": [v % 3 + 1 for v in range(g.vertex_count)]}
+        cases.append((f"{name}/mod3", argv, json.dumps(mod3)))
+    return cases
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path, help="src directory of the other tree")
@@ -286,9 +317,18 @@ def main() -> int:
         for seed in range(args.count)
     ]
 
-    runs = [(argv, text) for _, argv, text in cases]
-    (ours, ours_again), (theirs, theirs_again) = (
-        run_all(OWN_SRC, runs), run_all(args.other_src.resolve(), runs)
+    other_src = args.other_src.resolve()
+    (ours, ours_again), (theirs, theirs_again) = run_trees(other_src, cases)
+    certificates = {
+        name: result[1] for (name, argv, _), result in zip(cases, ours)
+        if argv[:3] == ["color", "--strategy", "auto"] and result[0] == 0
+    }
+    with tempfile.TemporaryDirectory() as folder:
+        checks = verify_cases(graphs, certificates, Path(folder))
+        (a, a_again), (b, b_again) = run_trees(other_src, checks)
+    cases += checks
+    ours, ours_again, theirs, theirs_again = (
+        ours + a, ours_again + a_again, theirs + b, theirs_again + b_again
     )
     unrepeatable = 0
     for tree, first, again in (("this tree", ours, ours_again),

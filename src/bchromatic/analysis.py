@@ -1,6 +1,7 @@
 """Structural analysis passes: regularity, short-cycle detection, girth,
 diameter, vertex connectivity with a cut certificate, five-cycle statistics,
 and the combined hypothesis report that gates the coloring strategies.
+GatedGraph is a graph known to be regular and C4-free, with its degree.
 """
 
 from __future__ import annotations
@@ -59,6 +60,19 @@ def is_regular(g: Graph) -> int | None:
         return None
     d = degs[0]
     return d if all(x == d for x in degs) else None
+
+
+@dataclass(frozen=True)
+class GatedGraph(Graph):
+    """A graph that is d-regular and has no 4-cycle, with its degree d.
+
+    constructive.gate builds one after is_regular and find_four_cycle pass,
+    and check_hypotheses after its own calls of the two; every route and
+    every seeding function trusts it and checks neither fact again. Building
+    one by hand skips both checks.
+    """
+
+    d: int
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:
@@ -743,13 +757,19 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     (d-1)/2 when the girth is exactly 5. They are None when the graph is not
     regular and C4-free, or beyond the enumeration ceiling; the packing
     predicate also when its search passes _PACKING_NODE_BUDGET nodes.
-    On an eligible graph this runs auto color once and reads
-    phi_lower_bound and full_seed_center off its outcome (see
+    An eligible graph is gated here, once: its own is_regular and
+    find_four_cycle make it a GatedGraph, on which every later fact is
+    computed and auto color runs once, without gating it again.
+    phi_lower_bound and full_seed_center are read off auto's outcome (see
     HypothesisReport); where no full-seed center exists, that runs auto's
     later routes too.
     """
     d = is_regular(g)
     c4 = find_four_cycle(g)
+    eligible = d is not None and c4 is None
+    if eligible:
+        # every later fact, and auto's route walk, on the gated graph
+        g = GatedGraph(g.vertex_count, g.adjacency, d)
     tri = find_triangle(g)
     # with no triangle and no 4-cycle the girth is at least 5
     gr = 3 if tri is not None else 4 if c4 is not None else girth(g, at_least=5)
@@ -757,7 +777,6 @@ def check_hypotheses(g: Graph) -> HypothesisReport:
     cert = vertex_connectivity(g)
     n = g.vertex_count
 
-    eligible = d is not None and c4 is None
     lower_colors = full_seed_center = None
     count_exists = packing_exists = None
     count_witness = packing_witness = None

@@ -212,6 +212,10 @@ def _run_exact(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    if args.input == "-":
+        raise ValueError(
+            "verify reads the certificate from stdin, so --input must name the graph's file, not -"
+        )
     g = _load_graph(args)
     try:
         payload = json.loads(sys.stdin.read())

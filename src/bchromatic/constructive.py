@@ -13,9 +13,11 @@ complementary color sets, which is how the diameter and small-cut strategies
 reach all d+1 colors. The lower-bound strategy instead extends greedily and
 squeezes out unrealized colors by color exchange.
 
-Each strategy gates the graph (regular, no 4-cycle) once;
-construct_auto_bcoloring gates once and passes the gated graph, which carries
-its degree, to the four routes in turn. Every route ends in _certify, the one
+gate checks the hypothesis every route shares, d-regular with no 4-cycle,
+once, and returns an analysis.GatedGraph that carries d. Each strategy and
+each seeding function starts with gate, which returns a GatedGraph as it is,
+so construct_auto_bcoloring gates once for its four routes and no layer
+below re-derives the two facts. Every route ends in _certify, the one
 verification of its final coloring.
 """
 
@@ -36,8 +38,8 @@ class HypothesisRejection(Exception):
 class ConstructionInvariantError(RuntimeError):
     """A guarantee the construction relies on failed at runtime.
 
-    Signals an implementation bug or a precondition violation that slipped
-    past the gates.
+    Signals an implementation bug, or a GatedGraph built by hand around the
+    gate on a graph that is not regular or has a 4-cycle.
     """
 
 
@@ -162,27 +164,15 @@ def color_map_realizing(target: tuple[int, ...], d: int) -> tuple[int, ...]:
 def validate_seed_plan(g: Graph, plan: SeedPlan) -> int:
     """Check every plan invariant against g; returns the degree d.
 
-    The caller must pass a gated graph (regular, no 4-cycle). Of the graph
-    this checks only the seeding site, in O(d^2), as a cheap sanity check and
-    not the seeding's full precondition: every neighbor of the center has the
-    center's degree d >= 3, and no two neighbors share a vertex other than
-    the center, so no 4-cycle passes through it. The ring counting of
-    seed_dominating_neighborhood also needs the graph regular and C4-free
-    away from the center, which only the gate checks.
+    Gates g, which a GatedGraph passes as it is, and then checks only the
+    plan: d >= 3, the permutation, the targets, the step limit, and triangle
+    mode or the odd-degree pivot.
     """
+    g = gate(g)
+    d = g.d
     center = plan.center
-    d = g.degree(center)
     if d < 3:
         raise ValueError("seeding requires degree at least 3")
-    seen: set[int] = set()
-    for u in g.adjacency[center]:
-        if g.degree(u) != d:
-            raise ValueError(f"neighbor {u} of center {center} has degree {g.degree(u)}, not {d}")
-        for x in g.adjacency[u]:
-            if x in seen:
-                raise ValueError(f"a 4-cycle passes through center {center}")
-            if x != center:
-                seen.add(x)
     if tuple(sorted(plan.ordered_neighbors)) != g.adjacency[center]:
         raise ValueError("ordered_neighbors is not a permutation of the center's neighborhood")
     color_map_realizing(plan.targets, d)  # raises ValueError on bad targets
@@ -215,22 +205,19 @@ def plan_seed(
     targets: tuple[int, ...],
     triangle: tuple[int, int] | None = None,
 ) -> SeedPlan:
-    """Order the center's neighborhood so a seeding that realizes the colors
-    `targets`, in len(targets) - 1 steps, is legal.
-
-    The caller must pass a gated graph (regular, no 4-cycle). The returned
-    plan goes through validate_seed_plan, whose site check (the center's
-    neighbors have the center's degree d >= 3 and no 4-cycle passes through
-    the center) is a cheap sanity check, not the full precondition; on an
-    ungated graph the planning itself may fail first.
+    """Gate g and order the center's neighborhood so a seeding that realizes
+    the colors `targets`, in len(targets) - 1 steps, is legal; the returned
+    plan goes through validate_seed_plan.
 
     A `triangle` pair (even d only) puts the seeding in triangle mode: the
     two neighbors, which must be adjacent, are placed first and middle. For
     a full odd-d seeding a neighbor with no neighbors inside N(center) is
-    placed last among the step positions; one exists because the induced
-    neighborhood has maximum degree one.
+    placed last among the step positions; one exists because with no
+    4-cycle the neighborhood induces a matching, which leaves one of its odd
+    number of vertices free.
     """
-    d = g.degree(center)
+    g = gate(g)
+    d = g.d
     t = len(targets) - 1
     neighbors = list(g.adjacency[center])
     nv = g.neighbor_sets[center]
@@ -239,12 +226,7 @@ def plan_seed(
         rest = [x for x in neighbors if x not in triangle]
         order = [triangle[0]] + rest[: d // 2 - 1] + [triangle[1]] + rest[d // 2 - 1:]
     elif d % 2 and t == (d + 1) // 2:
-        unmatched = [x for x in neighbors if not (g.neighbor_sets[x] & nv)]
-        if not unmatched:
-            raise ConstructionInvariantError(
-                "no neighbor free of the center's neighborhood despite odd degree"
-            )
-        pivot = unmatched[0]
+        pivot = next(x for x in neighbors if not (g.neighbor_sets[x] & nv))
         rest = [x for x in neighbors if x != pivot]
         order = rest[: t - 1] + [pivot] + rest[t - 1:]
     else:
@@ -302,15 +284,18 @@ def seed_dominating_neighborhood(
     matched, one record per ring goes to the trace; without a trace no
     record is built.
 
-    The counting guarantees are asserted at runtime. A seeding of at most
-    d // 2 + 1 steps, the most validate_seed_plan accepts, also asserts the
-    half-degree condition, which is what makes its matchings exist; the full
-    seeding (steps = d) does not, so a violator can reject its center. The
-    plan of a bounded seeding must have passed validate_seed_plan, as every
-    plan from plan_seed has. The result is not validated here:
+    g is gated first. On a GatedGraph each step neighbor has at most one
+    neighbor inside N(center), its ring has as many vertices as it needs
+    colors, and no ring meets an earlier one. A seeding of at most
+    d // 2 + 1 steps, the most validate_seed_plan accepts, asserts the
+    half-degree condition, which is what makes its matchings exist; the
+    full seeding (steps = d) does not, so a violator can reject its center.
+    The plan of a bounded seeding must have passed validate_seed_plan, as
+    every plan from plan_seed has. The result is not validated here:
     greedy_extend, which every route calls next, validates its input.
     """
-    d = len(plan.ordered_neighbors)
+    g = gate(g)
+    d = g.d
     steps = len(plan.targets) - 1
     center = plan.center
     nv = g.neighbor_sets[center]
@@ -320,24 +305,9 @@ def seed_dominating_neighborhood(
     records = []
     for i in range(1, steps + 1):
         vi = plan.ordered_neighbors[i - 1]
-        inside = sorted(g.neighbor_sets[vi] & nv)
-        if len(inside) > 1:
-            raise ConstructionInvariantError(
-                f"neighbor {vi} has {len(inside)} neighbors inside N({center}); "
-                "a 4-cycle slipped past the gate"
-            )
         ring = sorted(g.neighbor_sets[vi] - nv - {center})
-        blocked = {colors[w] for w in inside}
+        blocked = {colors[w] for w in g.neighbor_sets[vi] & nv}
         needed = sorted(set(range(1, d + 1)) - {i} - blocked)
-        if len(ring) != len(needed) or len(ring) != d - 1 - len(inside):
-            raise ConstructionInvariantError(
-                f"step {i}: ring size {len(ring)} and needed colors {len(needed)} "
-                f"disagree with degree counting"
-            )
-        if any(x in colors for x in ring):
-            raise ConstructionInvariantError(
-                f"step {i}: ring overlaps an earlier ring; rings must be disjoint"
-            )
         options: dict[int, list[int]] = {}
         for x in ring:
             present = {colors.get(y) for y in g.adjacency[x]}
@@ -483,24 +453,19 @@ class ConstructionOutcome:
     report: VerificationReport
 
 
-@dataclass(frozen=True)
-class _GatedGraph(Graph):
-    """A graph that passed _gate_regular_c4_free, with its degree d, so that a
-    route handed one by construct_auto_bcoloring does not scan it again."""
-
-    d: int
-
-
-def _gate_regular_c4_free(g: Graph) -> int:
-    if isinstance(g, _GatedGraph):
-        return g.d
+def gate(g: Graph) -> analysis.GatedGraph:
+    """g as a GatedGraph, which carries its degree d: a GatedGraph as it is,
+    else a new one once g is found regular with no 4-cycle; otherwise
+    raises HypothesisRejection."""
+    if isinstance(g, analysis.GatedGraph):
+        return g
     d = analysis.is_regular(g)
     if d is None:
         raise HypothesisRejection("graph is not regular")
     c4 = analysis.find_four_cycle(g)
     if c4 is not None:
         raise HypothesisRejection(f"graph contains the 4-cycle {c4}")
-    return d
+    return analysis.GatedGraph(g.vertex_count, g.adjacency, d)
 
 
 def _cycle_order(g: Graph, component: tuple[int, ...]) -> list[int]:
@@ -541,13 +506,14 @@ def _certify(
     return ConstructionOutcome(coloring, strategy, promised, plans, report)
 
 
-def _small_case(g: Graph, d: int) -> ConstructionOutcome:
+def _small_case(g: analysis.GatedGraph) -> ConstructionOutcome:
     """Direct b-colorings with d+1 colors for degrees 0..2.
 
     d = 2 components are cycles other than C4 (the 4-cycle gate ran); the
     repeating 1,2,3 pattern with a fixed seam yields dominating vertices for
     all three colors.
     """
+    d = g.d
     colors = [1] * g.vertex_count
     if d == 1:
         for _, v in g.edges():
@@ -572,11 +538,12 @@ def construct_lower_bound_bcoloring(
     exchanges away unrealized colors. The seeded dominating vertices survive
     reduction, which is what pins the final count to the bound.
     """
-    d = _gate_regular_c4_free(g)
+    g = gate(g)
+    d = g.d
     tri = analysis.find_triangle(g)
     if d <= 2:
         # d+1 colors, never fewer than the bound below
-        return _small_case(g, d)
+        return _small_case(g)
     triangle: tuple[int, int] | None = None
     if d % 2 == 0 and tri is not None:
         # tri[1:] is the first adjacent pair of N(tri[0]), the pair the plan
@@ -605,8 +572,7 @@ def construct_lower_bound_bcoloring(
 
 
 def _two_center_finish(
-    g: Graph,
-    d: int,
+    g: analysis.GatedGraph,
     strategy: str,
     plans: tuple[SeedPlan, SeedPlan],
     trace: ConstructionTrace | None,
@@ -628,9 +594,9 @@ def _two_center_finish(
             )
         merged[v] = c
     total = greedy_extend(
-        g, PartialColoring(d + 1, tuple(merged)), sources=(plans[0].center, plans[1].center)
+        g, PartialColoring(g.d + 1, tuple(merged)), sources=(plans[0].center, plans[1].center)
     )
-    return _certify(g, strategy, d + 1, total, plans)
+    return _certify(g, strategy, g.d + 1, total, plans)
 
 
 def construct_diameter_bcoloring(
@@ -642,18 +608,19 @@ def construct_diameter_bcoloring(
     at least 6 keeps the two colored balls edge-free of each other, so their
     color sets, chosen complementary, realize everything with no reduction.
     """
-    d = _gate_regular_c4_free(g)
+    g = gate(g)
+    d = g.d
     diam, witness = analysis.diameter(g)
     if diam < 6:
         raise HypothesisRejection(f"diameter {diam} is below 6")
     if d <= 2:
-        return _small_case(g, d)
+        return _small_case(g)
     assert witness is not None
     v, w = witness
     low = tuple(range(1, (d + 3) // 2 + 1))
     high = tuple(range(len(low) + 1, d + 2))
     plans = (plan_seed(g, v, low), plan_seed(g, w, high))
-    return _two_center_finish(g, d, "diameter", plans, trace)
+    return _two_center_finish(g, "diameter", plans, trace)
 
 
 def construct_connectivity_bcoloring(
@@ -676,14 +643,15 @@ def construct_connectivity_bcoloring(
     |C| <= 5. The degree count 3|C| = 2e(C) + e(S, C) with e(S, C) <= 4 then
     leaves only configurations holding a 4-cycle.
     """
-    d = _gate_regular_c4_free(g)
+    g = gate(g)
+    d = g.d
     cert = analysis.vertex_connectivity(g)
     if 2 * cert.kappa > d + 1:
         raise HypothesisRejection(
             f"vertex connectivity {cert.kappa} exceeds ({d} + 1)/2"
         )
     if d <= 2:
-        return _small_case(g, d)
+        return _small_case(g)
     if len(cert.components) < 2:
         raise ConstructionInvariantError(
             "minimum separator failed to disconnect a non-complete graph"
@@ -722,19 +690,19 @@ def construct_connectivity_bcoloring(
             )
         validate_seed_plan(g, plan)  # built here, not by plan_seed
         plans.append(plan)
-    return _two_center_finish(g, d, "connectivity", (plans[0], plans[1]), trace)
+    return _two_center_finish(g, "connectivity", (plans[0], plans[1]), trace)
 
 
 def _full_seed_at(
-    g: Graph, d: int, center: int, trace: ConstructionTrace | None
+    g: analysis.GatedGraph, center: int, trace: ConstructionTrace | None
 ) -> ConstructionOutcome | HallViolator:
     # the full seeding at one center, extended and verified, or the Hall
     # violator of the ring that rejects this center
-    plan = SeedPlan(center, g.adjacency[center], tuple(range(1, d + 2)))
+    plan = SeedPlan(center, g.adjacency[center], tuple(range(1, g.d + 2)))
     partial = seed_dominating_neighborhood(g, plan, trace)
     if isinstance(partial, HallViolator):
         return partial
-    return _certify(g, "full-seed", d + 1, greedy_extend(g, partial, sources=(center,)), (plan,))
+    return _certify(g, "full-seed", g.d + 1, greedy_extend(g, partial, sources=(center,)), (plan,))
 
 
 def construct_full_seed_bcoloring(
@@ -760,11 +728,11 @@ def construct_full_seed_bcoloring(
     each ring onto its needed colors is proper. In particular every vertex
     of a graph of girth at least 6 is a center.
     """
-    d = _gate_regular_c4_free(g)
-    if d <= 2:
-        return _small_case(g, d)
+    g = gate(g)
+    if g.d <= 2:
+        return _small_case(g)
     for center in range(g.vertex_count):
-        found = _full_seed_at(g, d, center, trace)
+        found = _full_seed_at(g, center, trace)
         if isinstance(found, ConstructionOutcome):
             return found
     raise HypothesisRejection(
@@ -780,20 +748,20 @@ def construct_auto_bcoloring(
     """The first route that applies: full seeding, connectivity, diameter,
     then the lower bound, which applies to every graph that passes the gate.
 
-    Gates regularity and C4-freeness once and hands the routes the gated
-    graph, whose degree their own gates read back. A route whose hypothesis
-    fails falls through to the next. The full seeding goes first because it
-    costs O(d^2) plus a matching per center and needs neither the vertex
-    connectivity nor the diameter.
+    Gates once and hands the routes the GatedGraph, which their own gate
+    returns as it is. A route whose hypothesis fails falls through to the
+    next. The full seeding goes first because it costs O(d^2) plus a
+    matching per center and needs neither the vertex connectivity nor the
+    diameter.
     """
-    gated = _GatedGraph(g.vertex_count, g.adjacency, _gate_regular_c4_free(g))
+    g = gate(g)
     for route in (
         construct_full_seed_bcoloring,
         construct_connectivity_bcoloring,
         construct_diameter_bcoloring,
     ):
         try:
-            return route(gated, trace)
+            return route(g, trace)
         except HypothesisRejection:
             pass
-    return construct_lower_bound_bcoloring(gated, trace)
+    return construct_lower_bound_bcoloring(g, trace)

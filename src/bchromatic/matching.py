@@ -3,8 +3,9 @@
 Every inductive coloring step reduces to a perfect matching of a ring of
 uncolored vertices onto the colors still needed there. The seeding
 (constructive) hands perfect_matching each ring vertex's available colors as
-they are; its ring-size check makes the two sides equal, and its half-degree
-condition is what makes the matchings of the bounded seedings exist.
+they are; on its gated graph, d-regular with no 4-cycle, degree counting makes
+the two sides equal, and its half-degree condition is what makes the matchings
+of the bounded seedings exist.
 """
 
 from __future__ import annotations

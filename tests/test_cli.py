@@ -233,9 +233,14 @@ class TestColor:
         code, _, _ = run_cli(monkeypatch, capsys, ["color", "--input", str(path)])
         assert code == 2
 
-    @pytest.mark.parametrize("strategy", cli.STRATEGIES)
+    @pytest.mark.parametrize("command", [
+        *(["color", "--strategy", strategy] for strategy in cli.STRATEGIES),
+        ["analyze", "--output", "text"],
+        ["analyze", "--output", "json"],
+    ], ids=[*cli.STRATEGIES, "analyze-text", "analyze-json"])
     @pytest.mark.parametrize("graph_file", ["petersen_file", "chain_file"])
-    def test_gates_each_graph_once(self, monkeypatch, capsys, request, strategy, graph_file):
+    def test_gates_each_graph_once(self, monkeypatch, capsys, request, command, graph_file):
+        # analyze gates in check_hypotheses and hands auto the gated graph
         calls = {"find_four_cycle": 0, "is_regular": 0}
         for name in calls:
             original = getattr(analysis, name)
@@ -246,7 +251,7 @@ class TestColor:
 
             monkeypatch.setattr(analysis, name, counted)
         path = request.getfixturevalue(graph_file)
-        run_cli(monkeypatch, capsys, ["color", "--input", path, "--strategy", strategy])
+        run_cli(monkeypatch, capsys, [*command, "--input", path])
         assert calls == {"find_four_cycle": 1, "is_regular": 1}
 
     def test_unknown_strategy_exits_one(self, monkeypatch, capsys, petersen_file):
@@ -428,6 +433,14 @@ class TestVerify:
         payload = json.dumps({"palette": 2, "assignment": [1, 2]})
         code, out, _ = run_cli(monkeypatch, capsys, ["verify", "--input", str(path)], payload)
         assert code == 0 and "used_colors: [1, 2]" in out
+
+    def test_graph_on_stdin_exits_one(self, monkeypatch, capsys):
+        """stdin holds the certificate, so it cannot hold the graph too: the
+        call is refused before either is read."""
+        graph = gc.serialize_edge_list(gc.generate_petersen())
+        code, out, err = run_cli(monkeypatch, capsys, ["verify", "--input", "-"], graph)
+        assert code == 1 and out == ""
+        assert "--input must name the graph's file" in err and "JSON" not in err
 
     def test_deeply_nested_json_exits_one(self, monkeypatch, capsys, petersen_file):
         code, _, err = run_cli(

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bchromatic import analysis, constructive as con, exact_oracle as eo, graph_core as gc
@@ -124,9 +124,10 @@ class TestSeedPlans:
             con.plan_seed(g, 0, canonical(3, 4), pair)
 
     def test_rejects_irregular_and_c4(self):
-        with pytest.raises(ValueError):
+        # a plain Graph goes through the whole-graph gate
+        with pytest.raises(con.HypothesisRejection, match="not regular"):
             con.plan_seed(gc.Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), 0, canonical(1, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(con.HypothesisRejection, match="4-cycle"):
             con.plan_seed(gc.generate_complete_bipartite(3), 0, canonical(1, 3))
 
     def test_validate_rejects_bad_plans(self, petersen):
@@ -165,43 +166,44 @@ class TestSeeding:
     def test_seeding_on_graph_with_c4_fails_loudly(self):
         g = gc.generate_complete_bipartite(3)
         plan = con.SeedPlan(0, g.adjacency[0], canonical(2, 3))
-        with pytest.raises((con.ConstructionInvariantError, ValueError)):
+        with pytest.raises(con.HypothesisRejection, match="4-cycle"):
             con.seed_dominating_neighborhood(g, plan)
 
     @pytest.mark.parametrize("n,edges,steps,message", [
         # K4: the first step neighbor 1 sees both 2 and 3 inside N(0)
-        (4, list(itertools.combinations(range(4), 2)), 1, "slipped past the gate"),
-        # neighbor 1 has degree 4: a ring of 3 against 2 needed colors, the
-        # check that keeps every matching balanced
-        (7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)], 1,
-         "ring size 3 and needed colors 2 disagree with degree counting"),
-        # 0-1-5-2 is a 4-cycle: the first ring {4, 5} matches, and the second
-        # ring {5, 6} meets its vertex 5
+        (4, list(itertools.combinations(range(4), 2)), 1, "4-cycle"),
+        # neighbor 1 has degree 4: a ring of 3 against 2 needed colors
+        (7, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)], 1, "not regular"),
+        # 0-1-5-2 is a 4-cycle: the second ring {5, 6} meets the first {4, 5}
         (9, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 7), (3, 8)], 2,
-         "step 2: ring overlaps an earlier ring"),
+         "not regular"),
     ], ids=["two-inside", "ring-size", "overlap"])
     def test_ring_checks_on_ungated_graphs(self, n, edges, steps, message):
+        # the seeding gates a plain Graph before it walks a ring
         g = gc.Graph.from_edges(n, edges)
         plan = con.SeedPlan(0, g.adjacency[0], canonical(steps, 3))
-        with pytest.raises(con.ConstructionInvariantError, match=message):
+        with pytest.raises(con.HypothesisRejection, match=message):
             con.seed_dominating_neighborhood(g, plan)
 
     def test_half_degree_assertion_only_in_bounded_seedings(self):
-        # 4-regular, with 4-cycles away from vertex 0 only: both rings of a
-        # 2-step seeding at 0 have matchings, but one availability degree is
-        # below half the ring. The full seeding at 0 walks the same two rings
-        # first and asserts nothing: a later ring's Hall violator rejects it.
+        # 4-regular, with 4-cycles away from vertex 0 only, forged as a
+        # GatedGraph past the gate: both rings of a 2-step seeding at 0 have
+        # matchings, but one availability degree is below half the ring. The
+        # full seeding at 0 walks the same two rings first and asserts
+        # nothing: a later ring's Hall violator rejects it.
         g = gc.Graph.from_edges(16, [
             (0, 2), (0, 11), (0, 12), (0, 14), (1, 6), (1, 8), (1, 9), (1, 10),
             (2, 5), (2, 13), (2, 15), (3, 4), (3, 11), (3, 13), (3, 15), (4, 7),
             (4, 14), (4, 15), (5, 6), (5, 7), (5, 10), (6, 7), (6, 14), (7, 12),
             (8, 9), (8, 11), (8, 15), (9, 12), (9, 13), (10, 11), (10, 13), (12, 14),
         ])
+        assert analysis.is_regular(g) == 4 and analysis.find_four_cycle(g) is not None
+        g = analysis.GatedGraph(16, g.adjacency, 4)
         plan = con.plan_seed(g, 0, canonical(2, 4))
         with pytest.raises(con.ConstructionInvariantError, match="below half"):
             con.seed_dominating_neighborhood(g, plan)
         assert plan.ordered_neighbors == g.adjacency[0]
-        assert isinstance(con._full_seed_at(g, 4, 0, None), HallViolator)
+        assert isinstance(con._full_seed_at(g, 0, None), HallViolator)
 
     def test_trace_records_steps(self, petersen):
         trace = con.ConstructionTrace()
@@ -367,17 +369,19 @@ GIRTH_SIX_IDS = ["heawood", "levi2", "levi3", "levi5"]
 
 class TestFullSeedStrategy:
     def test_petersen_rejects_each_center_by_a_hall_violator(self, petersen):
+        gated = con.gate(petersen)
         for center in range(petersen.vertex_count):
-            assert isinstance(con._full_seed_at(petersen, 3, center, None), HallViolator)
+            assert isinstance(con._full_seed_at(gated, center, None), HallViolator)
         with pytest.raises(con.HypothesisRejection, match="10 centers tried"):
             con.construct_full_seed_bcoloring(petersen)
 
     @pytest.mark.parametrize("g", GIRTH_SIX, ids=GIRTH_SIX_IDS)
     def test_girth_six_every_vertex_is_a_center(self, g):
-        d = analysis.is_regular(g)
+        gated = con.gate(g)
+        d = gated.d
         assert analysis.girth(g) == 6
         for center in range(g.vertex_count):
-            out = con._full_seed_at(g, d, center, None)
+            out = con._full_seed_at(gated, center, None)
             assert isinstance(out, con.ConstructionOutcome), center
             assert_outcome_ok(g, out, exact_colors=d + 1)
 
@@ -590,7 +594,7 @@ class TestCertification:
         out = route(g)
         assert out.strategy == strategy
         # the full seed's d steps are past validate_seed_plan's limit: its
-        # seeding checks its own rings and closed neighborhoods instead
+        # seeding checks the closed neighborhoods it makes dominating instead
         bounded = () if strategy == "full-seed" else out.plans
         assert Counter(validated) == Counter(bounded)
         assert verified.count(out.coloring) == 1
@@ -600,11 +604,52 @@ class TestCertification:
     def test_two_center_finish_refuses_seedings_that_touch(self, distance):
         # 0-step seedings color the closed neighborhoods of their centers,
         # which share a vertex or an edge when the centers are this close
-        g = gc.generate_cubic_chain(3)
+        g = con.gate(gc.generate_cubic_chain(3))
         far = analysis._bfs_distances(g, 0).index(distance)
         plans = (con.plan_seed(g, 0, (4,)), con.plan_seed(g, far, (4,)))
         with pytest.raises(con.ConstructionInvariantError, match="second seeding"):
-            con._two_center_finish(g, 3, "diameter", plans, None)
+            con._two_center_finish(g, "diameter", plans, None)
+
+
+# regular graphs with 4-cycles, which random edge sets seldom are
+REGULAR_WITH_C4 = [
+    oracles.generate_complete(4), oracles.generate_complete(5),
+    gc.generate_complete_bipartite(3), gc.generate_complete_bipartite(4),
+    gc.generate_generalized_petersen(4, 1),
+]
+FORGED_ROUTES = [
+    con.construct_full_seed_bcoloring, con.construct_connectivity_bcoloring,
+    con.construct_diameter_bcoloring, con.construct_lower_bound_bcoloring,
+    con.construct_auto_bcoloring,
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_forged_gated_graphs_never_certify_a_wrong_coloring(data):
+    """A GatedGraph built by hand on a graph that fails the gate, with its
+    maximum degree as d, reaches seeding code that checks neither
+    regularity nor 4-cycles. Each route and auto must then raise, or return
+    a coloring that verify_bcoloring confirms is a b-coloring with at least
+    the promised colors: _certify is the backstop."""
+    if data.draw(st.booleans()):
+        g = data.draw(st.sampled_from(REGULAR_WITH_C4))
+    else:
+        n = data.draw(st.integers(min_value=4, max_value=10))
+        rng = data.draw(st.randoms(use_true_random=False))
+        p = data.draw(st.floats(min_value=0.2, max_value=0.8))
+        g = gc.Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    assume(g.max_degree() >= 3)
+    assume(analysis.is_regular(g) is None or analysis.find_four_cycle(g) is not None)
+    forged = analysis.GatedGraph(g.vertex_count, g.adjacency, g.max_degree())
+    for route in FORGED_ROUTES:
+        try:
+            out = route(forged)
+        except Exception:  # any refusal will do; a wrong certificate will not
+            continue
+        rep = con.verify_bcoloring(g, out.coloring)
+        assert rep.is_b_coloring, route.__name__
+        assert len(rep.used_colors) >= out.guaranteed_colors, route.__name__
 
 
 class TestTrace:
